@@ -2,7 +2,7 @@
 
 Runs ``perfbench/run.py`` in two checkouts that hold the same
 ``perfbench/`` directory -- the parent commit and the change -- for
-``--pairs`` seeds per workload, alternating which side runs first, and
+seeds ``1..--pairs`` per workload, alternating which side runs first, and
 prints one row per (metric, workload) labelled by
 :func:`perfbench.stats.classify`: improved, unchanged, unresolved or
 regressed.  Improvement needs the change to win 90% of the pairs and a
@@ -36,7 +36,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, type=pathlib.Path)
     parser.add_argument("--change", required=True, type=pathlib.Path)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workloads", default=",".join(
         w["name"] for w in config["workloads"]))
     parser.add_argument("--out", help="append every result line here")
@@ -48,9 +47,8 @@ def main(argv: list[str] | None = None) -> int:
           f"{'change median [q1, q3]':>34s} {'wins':>6s}  label")
     for workload in args.workloads.split(","):
         values = {side: {m["name"]: [] for m in metrics} for side in sides}
-        for index in range(args.pairs):
-            seed = args.first_seed + index
-            order = ("parent", "change") if index % 2 == 0 else (
+        for seed in range(1, args.pairs + 1):
+            order = ("parent", "change") if seed % 2 else (
                 "change", "parent")
             for side in order:
                 result = run_once(config, workload, seed, cwd=sides[side])

@@ -32,11 +32,11 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_once(config: dict, workload: str, seed: int, trace: int = 0,
-             cwd: pathlib.Path = ROOT, seconds: int | None = None) -> dict:
+             cwd: pathlib.Path = ROOT) -> dict:
     """One benchmark run; returns its final JSON line."""
     command = list(config["command"]) + [
         "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds or config["run_seconds"]),
+        "--seconds", str(config["run_seconds"]),
         "--trace", str(trace)]
     done = subprocess.run(command, cwd=cwd, capture_output=True, text=True,
                           timeout=600, check=False)
@@ -53,8 +53,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", default="1-10")
     parser.add_argument("--workloads", default=",".join(
         w["name"] for w in config["workloads"]))
-    parser.add_argument("--seconds", type=int,
-                        help="override run_seconds (while tuning only)")
     parser.add_argument("--out", help="append every result line here")
     args = parser.parse_args(argv)
     bounds = {m["name"]: m["bound"] for m in config["end_to_end"]}
@@ -62,8 +60,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload in args.workloads.split(","):
         values: dict[str, list[float]] = {name: [] for name in bounds}
         for seed in parse_seeds(args.seeds):
-            result = run_once(config, workload, seed,
-                              seconds=args.seconds)
+            result = run_once(config, workload, seed)
             if args.out:
                 with open(args.out, "a", encoding="utf-8") as sink:
                     sink.write(json.dumps({"workload": workload,
@@ -72,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
                 values[name].append(result["metrics"][name]["value"])
         for name, bound in bounds.items():
             share = spread(values[name])
-            ok = name == "setup_s" or share < bound / 3
+            ok = share < bound / 3
             steady &= ok
             print(f"{workload:16s} {name:12s} median "
                   f"{statistics.median(values[name]):10.5g}  spread "

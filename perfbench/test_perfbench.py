@@ -3,6 +3,7 @@ output checks and the metric names it promises in BENCHMARK.json."""
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
 import shutil
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 from perfbench import run as bench_run
-from perfbench import stats, tracing
+from perfbench import calibration, stats, tracing
 from perfbench.layers import checks
 from perfbench.workloads import check_record
 
@@ -249,6 +250,23 @@ def test_layer_checks_flag_faults_outside_corridor():
     assert results["peerhood_plaza: dominant layer ['core', 'core'] on "
                    "every seed"]
     assert not results["peerhood_plaza: faults.self_s 0.1000 == 0"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_calibration_keeps_collector_off_and_restores_it(monkeypatch,
+                                                         enabled):
+    states = []
+    monkeypatch.setattr(calibration, "REPEATS", 2)
+    monkeypatch.setattr(calibration, "kernel",
+                        lambda: states.append(gc.isenabled()))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert calibration.kernel_seconds() >= 0.0
+        assert states == [False, False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_exits_nonzero_without_the_program(tmp_path):

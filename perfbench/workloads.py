@@ -4,21 +4,8 @@ Each workload is a scaled cell of a bundled spec family, run ``cells``
 times per sweep as independent repeats of one :class:`ExperimentSpec`
 whose master seed is the benchmark's ``--seed``.  Repeats get distinct
 derived seeds, so one sweep averages over several mobility draws and a
-single unlucky topology cannot set the figure.
-
-Why these four (each stresses a different set of layers):
-
-* ``peerhood_plaza`` -- the paper's own path: daemon discovery, plugin
-  scans and a handover-monitored stream.  No DTN plane and no contact
-  solver run, so DTN and geometry changes must leave it flat.
-* ``dtn_ferry`` -- static island cliques: the DTN attach cascade and
-  the all-pair bus watches dominate set-up, mobility is a few percent
-  (the workload that bypasses segment memoization).
-* ``festival_lossy`` -- a roaming crowd under the bandwidth and lossy
-  PHY planes: random-waypoint segment building and the contact solver
-  dominate the run.
-* ``corridor_faults`` -- the only workload that drives ``repro.faults``
-  and the bus's suspend/resume churn path.
+single unlucky topology cannot set the figure.  Which layers each
+workload stresses is tabled in ``perfbench/README.md``.
 """
 
 from __future__ import annotations
@@ -39,7 +26,6 @@ class Workload:
     params: dict[str, object]       #: scenario parameters (one value each)
     settings: dict[str, object]     #: workload settings
     cells: int                      #: repeats per sweep
-    why: str
 
     def spec(self, seed: int) -> ExperimentSpec:
         """The sweep's spec; ``seed`` is the master seed of every cell."""
@@ -60,9 +46,7 @@ WORKLOADS: dict[str, Workload] = {w.name: w for w in (
         scenario="dense_plaza",
         params={"count": 28, "technologies": ("bluetooth", "wlan")},
         settings={"settle_s": 60.0, "messages": 10},
-        cells=8,
-        why="discovery and handover on a packed plaza: core, plugins "
-            "and radio neighbour queries, no DTN plane or contact solver"),
+        cells=8),
     Workload(
         name="dtn_ferry",
         workload="dtn",
@@ -70,9 +54,7 @@ WORKLOADS: dict[str, Workload] = {w.name: w for w in (
         params={"count": 120},
         settings={"duration_s": 480.0, "messages": 14, "ttl_s": 300.0,
                   "routers": ("epidemic", "spray"), "spray_copies": 6},
-        cells=2,
-        why="static island cliques: the DTN attach cascade and all-pair "
-            "bus watches dominate set-up, mobility is a few percent"),
+        cells=2),
     Workload(
         name="festival_lossy",
         workload="dtn_phy",
@@ -82,9 +64,7 @@ WORKLOADS: dict[str, Workload] = {w.name: w for w in (
         settings={"duration_s": 240.0, "messages": 10, "ttl_s": 300.0,
                   "size_bytes": 60_000, "rate_Bps": 24_000.0,
                   "routers": ("epidemic", "spray"), "spray_copies": 6},
-        cells=12,
-        why="roaming crowd under bandwidth and lossy PHY planes: "
-            "segment building, contact solver and PHY dominate"),
+        cells=12),
     Workload(
         name="corridor_faults",
         workload="dtn_faults",
@@ -93,9 +73,7 @@ WORKLOADS: dict[str, Workload] = {w.name: w for w in (
         settings={"duration_s": 480.0, "messages": 14, "ttl_s": 300.0,
                   "routers": ("direct", "spray"), "spray_copies": 6,
                   "pattern": "uniform"},
-        cells=10,
-        why="crash-reboot corridor: the only workload that drives the "
-            "fault plane and the bus suspend/resume churn path"),
+        cells=10),
 )}
 
 
