@@ -15,6 +15,9 @@ result files byte-identical across worker counts.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import functools
 import hashlib
 import inspect
 import statistics
@@ -40,6 +43,7 @@ from repro.dtn import (
 )
 from repro.experiments.registry import build_scenario, get_scenario
 from repro.experiments.spec import RunPoint
+from repro.metrics.counters import FaultCounters, PhyCounters
 from repro.radio.channel import OutOfRange
 from repro.radio.technologies import BLUETOOTH
 from repro.scenarios.traces import (
@@ -80,24 +84,67 @@ def get_workload(name: str):
 
 
 def workload_fingerprint(name: str) -> str:
-    """SHA-256 of the workload's *source code*, hex.
+    """SHA-256 of the code behind a registered workload, hex.
 
     Part of every campaign cache key: editing a workload's measurement
     logic changes its fingerprint, which invalidates every cached cell
-    it produced — stale results can never satisfy new code.  Hashing
-    source (dedented, so nesting depth is irrelevant) is stable across
-    processes and interpreter runs, unlike ``hash()`` or code-object
-    ids.  Falls back to the compiled bytecode for source-less callables
-    (frozen modules); still deterministic for a fixed build.
+    it produced — stale results can never satisfy new code.  The hash
+    covers the registered name, the arguments a ``functools.partial``
+    binds, and the workload function's source together with every
+    top-level definition of its module that the source reaches by name
+    (helpers, tables, constants), followed transitively — so an edit
+    to a shared helper such as the DTN runner or its preset table
+    retires the cells of every workload that uses it.  Hashing source
+    is stable across processes and interpreter runs, unlike ``hash()``
+    or code-object ids.  A callable object contributes its class's
+    source; a source-less callable (frozen modules) falls back to its
+    qualified name and compiled bytecode.  The registered name alone
+    keeps two workloads from ever sharing a fingerprint.
     """
     fn = get_workload(name)
+    bound = []
+    while isinstance(fn, functools.partial):
+        bound.append((fn.args, sorted(fn.keywords.items())))
+        fn = fn.func
+    if not (inspect.isroutine(fn) or inspect.isclass(fn)):
+        fn = type(fn)
+    material = "\n".join((name, repr(bound), _source_closure(fn)))
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
+def _source_closure(fn) -> str:
+    """``fn``'s source plus each module-level definition it reaches."""
     try:
-        source = textwrap.dedent(inspect.getsource(fn))
+        root = textwrap.dedent(inspect.getsource(fn))
+        module_source = inspect.getsource(inspect.getmodule(fn))
     except (OSError, TypeError):
         code = getattr(fn, "__code__", None)
-        source = repr((getattr(code, "co_code", b""),
-                       getattr(code, "co_consts", ())))
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+        return repr((getattr(fn, "__module__", None),
+                     getattr(fn, "__qualname__", None),
+                     getattr(code, "co_code", b""),
+                     getattr(code, "co_consts", ())))
+    lines = module_source.splitlines()
+    definitions = {}
+    for node in ast.parse(module_source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for defined in names:
+            definitions[defined] = "\n".join(
+                lines[node.lineno - 1:node.end_lineno])
+    texts, seen, pending = [root], {fn.__name__}, [root]
+    while pending:
+        for node in ast.walk(ast.parse(pending.pop())):
+            if (isinstance(node, ast.Name) and node.id in definitions
+                    and node.id not in seen):
+                seen.add(node.id)
+                texts.append(definitions[node.id])
+                pending.append(definitions[node.id])
+    return "\n".join(texts)
 
 
 def _sink_service(node, delivered: list) -> None:
@@ -388,23 +435,10 @@ def trace_replay(point: RunPoint) -> Metrics:
 
 
 # ----------------------------------------------------------------------
-# dtn: store-carry-forward delivery under each routing baseline
+# dtn presets: store-carry-forward delivery, every router paired
 # ----------------------------------------------------------------------
 #: Terminal pairs the ``auto`` pattern recognises, in checking order.
 _ENDPOINT_PAIRS = (("home", "work"), ("kiosk", "depot"))
-
-
-def _resolve_pattern(pattern: str, nodes: typing.Sequence[str]) -> str:
-    """``"auto"`` picks the pattern the scenario was built for."""
-    if pattern != "auto":
-        return pattern
-    names = set(nodes)
-    for pair in _ENDPOINT_PAIRS:
-        if set(pair) <= names:
-            return "endpoints"
-    if "source" in names:
-        return "broadcast"
-    return "uniform"
 
 
 def _pattern_endpoints(nodes: typing.Sequence[str]
@@ -417,84 +451,191 @@ def _pattern_endpoints(nodes: typing.Sequence[str]
     return None
 
 
-def _paired_router_run(point: RunPoint, router_name: str, make_plane,
-                       *, spray_copies: int, duration_s: float,
-                       messages: int, ttl_s: float, size_bytes: int,
-                       pattern: str, inject_start: float,
-                       inject_end: float):
-    """One router's leg of a paired DTN comparison.
-
-    Shared by the ``dtn`` and ``dtn_bandwidth`` workloads: rebuild the
-    point's scenario with the *same* seed (identical node paths),
-    replay the *same* deterministic injection schedule through a fresh
-    plane built by ``make_plane(scenario, router)``, run to
-    ``duration_s`` and detach.  Returns
-    ``(scenario, plane, nodes, resolved_pattern)``.
-    """
-    scenario = build_scenario(point.scenario, point.seed, point.params)
-    plane = make_plane(scenario,
-                       make_router(router_name,
-                                   spray_copies=spray_copies))
-    nodes = plane.live_nodes()
-    resolved = _resolve_pattern(pattern, nodes)
-    injections = generate_traffic(
-        scenario.sim.rng("dtn/traffic"), nodes, resolved, messages,
-        window=(inject_start, inject_end), size_bytes=size_bytes,
-        ttl_s=ttl_s, source="source" if "source" in nodes else None,
-        endpoints=_pattern_endpoints(nodes)
-        if resolved == "endpoints" else None)
-    schedule_traffic(plane, injections)
-    scenario.run(until=duration_s)
-    plane.detach()
-    return scenario, plane, nodes, resolved
+def _resolve_pattern(pattern: str, nodes: typing.Sequence[str]) -> str:
+    """``"auto"`` picks the pattern the scenario was built for."""
+    if pattern != "auto":
+        return pattern
+    if _pattern_endpoints(nodes) is not None:
+        return "endpoints"
+    if "source" in nodes:
+        return "broadcast"
+    return "uniform"
 
 
-@register_workload("dtn")
-def dtn_delivery(point: RunPoint) -> Metrics:
+def _counter_group(*names: str):
+    """A metric group of the DTN plane's own counters, per router."""
+    def group(router: str, scenario, plane) -> Metrics:
+        return {f"{router}_{name}": getattr(plane.counters, name)
+                for name in names}
+    return group
+
+
+def _fault_group(router: str, scenario, plane) -> Metrics:
+    """Fault-plane counters and schedule length; zeros without a plane."""
+    faults = scenario.world.faults
+    counts = (faults.counters if faults is not None
+              else FaultCounters()).as_dict()
+    return {
+        "fault_events": len(faults.schedule) if faults is not None else 0,
+        f"{router}_crashes": counts["crashes"],
+        f"{router}_reboots": counts["reboots"],
+        f"{router}_jammed": counts["jammed_deliveries"],
+        f"{router}_byzantine": counts["byzantine_beacons"],
+    }
+
+
+_STORE = _counter_group("duplicates", "expired")
+_EVICTED = _counter_group("evicted")
+_DROPPED_DEAD = _counter_group("dropped_dead")
+_BYTE_FLOW = _counter_group("bytes_offered", "bytes_transferred",
+                            "transfers_truncated", "transfers_cancelled")
+
+
+def _bytes_group(router: str, scenario, plane) -> Metrics:
+    """The bandwidth plane's rate, byte flow and control bytes."""
+    return {
+        "rate_Bps": plane.data_rate_Bps,
+        **_BYTE_FLOW(router, scenario, plane),
+        f"{router}_control_bytes":
+            scenario.meter.bytes(category="dtn-control"),
+    }
+
+
+def _phy_group(router: str, scenario, plane) -> Metrics:
+    """PHY-plane fates under ``*_phy_*``; zeros without a plane."""
+    phy = scenario.world.phy
+    counts = (phy.counters if phy is not None else PhyCounters()).as_dict()
+    return {f"{router}_phy_{name}": value for name, value in counts.items()}
+
+
+@dataclasses.dataclass(frozen=True)
+class _DtnPreset:
+    """One registered DTN workload: plane, extra metrics, defaults."""
+
+    plane: type
+    groups: tuple[typing.Callable[..., Metrics], ...]
+    defaults: dict[str, object]
+
+
+#: Settings every preset shares; a preset row overrides some of them.
+_DTN_DEFAULTS: dict[str, object] = {
+    "duration_s": 480.0, "messages": 16, "ttl_s": 300.0,
+    "size_bytes": 512, "spray_copies": 6, "capacity_bytes": 0,
+    "policy": "oldest", "pattern": "auto", "tech": "bluetooth",
+    "inject_start_s": 10.0, "rate_Bps": 0.0,
+}
+_BANDWIDTH_DEFAULTS: dict[str, object] = {
+    "duration_s": 600.0, "messages": 24, "ttl_s": 480.0,
+    "size_bytes": 200_000, "inject_start_s": 120.0,
+}
+
+#: The four registered DTN workloads.  Metric groups follow the base
+#: group in this order; each row's groups fix its metric key set.
+DTN_PRESETS: dict[str, _DtnPreset] = {
+    "dtn": _DtnPreset(
+        DtnOverlay, (_STORE, _EVICTED),
+        {"routers": ("direct", "epidemic", "spray")}),
+    "dtn_faults": _DtnPreset(
+        DtnOverlay, (_STORE, _DROPPED_DEAD, _fault_group),
+        {"routers": ("direct", "spray", "prophet"),
+         "pattern": "uniform"}),
+    "dtn_bandwidth": _DtnPreset(
+        BandwidthDtnOverlay, (_bytes_group,),
+        {**_BANDWIDTH_DEFAULTS,
+         "routers": ("epidemic", "spray", "prophet")}),
+    "dtn_phy": _DtnPreset(
+        BandwidthDtnOverlay, (_bytes_group, _phy_group),
+        {**_BANDWIDTH_DEFAULTS, "routers": ("epidemic", "spray")}),
+}
+
+
+def run_dtn_preset(preset_name: str, point: RunPoint) -> Metrics:
     """Paired DTN comparison: every router on identical mobility+traffic.
 
-    For each name in ``settings["routers"]`` the workload rebuilds the
-    point's scenario with the *same* seed — identical node paths — and
-    replays the *same* deterministic injection schedule through a fresh
-    event-driven :class:`~repro.dtn.forwarder.DtnOverlay`, so router
-    metrics differ only by routing policy (a paired comparison, which
-    is what lets ``bench_dtn_delivery`` gate "epidemic beats direct on
-    delivery ratio" per run rather than statistically).
+    Behind the ``dtn``, ``dtn_faults``, ``dtn_bandwidth`` and
+    ``dtn_phy`` workloads (rows of :data:`DTN_PRESETS`).  For each name
+    in ``settings["routers"]`` the point's scenario is rebuilt with the
+    *same* seed (identical node paths) and the *same* deterministic
+    injection schedule is replayed through a fresh plane of the
+    preset's class, so router metrics differ only by routing policy.
+    That pairing is what lets the benches gate orderings such as
+    "epidemic beats direct" per run rather than statistically.
 
-    ``settings``: ``duration_s`` (default 480), ``messages`` (16; for
-    the broadcast pattern this is *rounds*), ``ttl_s`` (300),
-    ``size_bytes`` (512), ``routers`` (all three), ``spray_copies``
-    (6), ``capacity_bytes`` (0 = unbounded), ``policy`` (``oldest``),
-    ``pattern`` (``auto``: endpoints if home/work exist, broadcast if
-    ``source`` exists, else uniform), ``tech`` (bluetooth),
-    ``inject_start_s`` / ``inject_end_s`` (10 / half the duration).
+    The presets differ in three things only:
+
+    * **plane** — ``dtn`` and ``dtn_faults`` run the event-driven
+      :class:`~repro.dtn.forwarder.DtnOverlay`; ``dtn_bandwidth`` and
+      ``dtn_phy`` run :class:`~repro.dtn.capacity.BandwidthDtnOverlay`,
+      where a contact carries at most ``window × rate`` bytes;
+    * **defaults** — ``routers``; ``dtn_faults`` defaults ``pattern``
+      to ``uniform`` (endpoint terminals are never faulted); the
+      bandwidth presets default to 600 s, 24 messages of 200 kB, a
+      480 s TTL and injections from 120 s;
+    * **metric groups** — every preset reports the base group
+      (``nodes``, ``pattern_<resolved>``, ``created`` and per router
+      ``*_delivery_ratio`` / ``_delivered`` / ``_latency_mean`` /
+      ``_transmissions`` / ``_overhead`` / ``_wakeups``); then ``dtn``
+      adds ``*_duplicates`` / ``_expired`` / ``_evicted``,
+      ``dtn_faults`` adds ``*_duplicates`` / ``_expired`` /
+      ``_dropped_dead``, the fault counters (``*_crashes`` /
+      ``_reboots`` / ``_jammed`` / ``_byzantine``) and
+      ``fault_events``, ``dtn_bandwidth`` adds ``rate_Bps`` and
+      ``*_bytes_offered`` / ``_bytes_transferred`` /
+      ``_transfers_truncated`` / ``_transfers_cancelled`` /
+      ``_control_bytes``, and ``dtn_phy`` adds to those the PHY fates
+      (``*_phy_offered`` / ``_delivered`` / ``_lost_fading`` /
+      ``_lost_collision`` / ``_captured``).
+
+    Fault and PHY counters are zero when the scenario's params install
+    no such plane, so at zero knobs ``dtn_faults`` equals ``dtn`` and
+    ``dtn_phy`` equals ``dtn_bandwidth`` on their shared keys.
+
+    ``settings``: ``duration_s``, ``messages`` (for the broadcast
+    pattern this is *rounds*), ``ttl_s``, ``size_bytes``, ``routers``,
+    ``spray_copies`` (6), ``capacity_bytes`` (0 = unbounded),
+    ``policy`` (``oldest``), ``pattern`` (``auto``: endpoints if a
+    terminal pair exists, broadcast if ``source`` exists, else
+    uniform), ``tech`` (bluetooth), ``inject_start_s`` /
+    ``inject_end_s`` (end defaults to half the duration) and, on the
+    bandwidth plane only, ``rate_Bps`` (0 = the technology's own
+    :attr:`~repro.radio.technologies.Technology.data_rate_Bps`).
     """
-    duration_s = float(point.settings.get("duration_s", 480.0))
-    messages = int(point.settings.get("messages", 16))
-    ttl_s = float(point.settings.get("ttl_s", 300.0))
-    size_bytes = int(point.settings.get("size_bytes", 512))
-    routers = list(point.settings.get(
-        "routers", ("direct", "epidemic", "spray")))
-    spray_copies = int(point.settings.get("spray_copies", 6))
-    capacity = int(point.settings.get("capacity_bytes", 0)) or None
-    policy = str(point.settings.get("policy", "oldest"))
-    pattern = str(point.settings.get("pattern", "auto"))
-    tech = str(point.settings.get("tech", "bluetooth"))
-    inject_start = float(point.settings.get("inject_start_s", 10.0))
-    inject_end = float(point.settings.get("inject_end_s",
-                                          duration_s / 2.0))
+    preset = DTN_PRESETS[preset_name]
+    settings = {**_DTN_DEFAULTS, **preset.defaults, **point.settings}
+    duration_s = float(settings["duration_s"])
+    messages = int(settings["messages"])
+    ttl_s = float(settings["ttl_s"])
+    size_bytes = int(settings["size_bytes"])
+    routers = list(settings["routers"])
+    spray_copies = int(settings["spray_copies"])
+    plane_kwargs: dict[str, object] = {
+        "tech": str(settings["tech"]),
+        "capacity_bytes": int(settings["capacity_bytes"]) or None,
+        "policy": str(settings["policy"]),
+    }
+    if preset.plane is BandwidthDtnOverlay:
+        plane_kwargs["data_rate_Bps"] = float(settings["rate_Bps"]) or None
+    pattern = str(settings["pattern"])
+    inject_start = float(settings["inject_start_s"])
+    inject_end = float(settings.get("inject_end_s", duration_s / 2.0))
     metrics: Metrics = {}
     for router_name in routers:
-        scenario, plane, nodes, resolved = _paired_router_run(
-            point, router_name,
-            lambda scenario, router: DtnOverlay(
-                scenario.world, router, tech=tech,
-                capacity_bytes=capacity, policy=policy,
-                meter=scenario.meter),
-            spray_copies=spray_copies, duration_s=duration_s,
-            messages=messages, ttl_s=ttl_s, size_bytes=size_bytes,
-            pattern=pattern, inject_start=inject_start,
-            inject_end=inject_end)
+        scenario = build_scenario(point.scenario, point.seed, point.params)
+        plane = preset.plane(
+            scenario.world,
+            make_router(router_name, spray_copies=spray_copies),
+            meter=scenario.meter, **plane_kwargs)
+        nodes = plane.live_nodes()
+        resolved = _resolve_pattern(pattern, nodes)
+        injections = generate_traffic(
+            scenario.sim.rng("dtn/traffic"), nodes, resolved, messages,
+            window=(inject_start, inject_end), size_bytes=size_bytes,
+            ttl_s=ttl_s, source="source" if "source" in nodes else None,
+            endpoints=_pattern_endpoints(nodes)
+            if resolved == "endpoints" else None)
+        schedule_traffic(plane, injections)
+        scenario.run(until=duration_s)
+        plane.detach()
         latencies = plane.latencies()
         counters = plane.counters
         metrics.update({
@@ -508,270 +649,14 @@ def dtn_delivery(point: RunPoint) -> Metrics:
             f"{router_name}_transmissions": counters.transmissions,
             f"{router_name}_overhead": plane.overhead_ratio(),
             f"{router_name}_wakeups": plane.wakeups,
-            f"{router_name}_duplicates": counters.duplicates,
-            f"{router_name}_expired": counters.expired,
-            f"{router_name}_evicted": counters.evicted,
         })
+        for group in preset.groups:
+            metrics.update(group(router_name, scenario, plane))
     return metrics
 
 
-# ----------------------------------------------------------------------
-# dtn_faults: routers compared under an active fault-injection plane
-# ----------------------------------------------------------------------
-@register_workload("dtn_faults")
-def dtn_faults(point: RunPoint) -> Metrics:
-    """Paired router comparison with :mod:`repro.faults` active.
-
-    Identical in structure to the ``dtn`` workload — every router in
-    ``settings["routers"]`` re-runs the same mobility and the same
-    injection schedule — but the point's scenario params are expected
-    to switch on fault models (``crash_rate`` …), so the comparison
-    measures *robustness*: how much delivery each routing policy loses
-    to crash-reboots, deaf/mute radios, byzantine summary vectors and
-    jamming.  With all fault params at zero the scenario installs no
-    plane at all and the metrics this workload shares with ``dtn`` are
-    byte-identical to it — the differential gate in
-    ``benchmarks/bench_fault_tolerance.py``.
-
-    ``settings`` mirror the ``dtn`` workload's, with two different
-    defaults: ``routers`` is ``("direct", "spray", "prophet")``
-    (multi-copy and predictive policies are the ones whose redundancy
-    faults should separate) and ``pattern`` is ``uniform`` (endpoint
-    terminals are never faulted, so endpoint traffic would understate
-    the damage).  Beyond the ``dtn`` metrics, each router leg reports
-    its fault-plane counters (``*_crashes``, ``*_reboots``,
-    ``*_jammed``, ``*_byzantine``) plus the shared schedule length
-    (``fault_events``); all zero when no plane is installed.
-    """
-    duration_s = float(point.settings.get("duration_s", 480.0))
-    messages = int(point.settings.get("messages", 16))
-    ttl_s = float(point.settings.get("ttl_s", 300.0))
-    size_bytes = int(point.settings.get("size_bytes", 512))
-    routers = list(point.settings.get(
-        "routers", ("direct", "spray", "prophet")))
-    spray_copies = int(point.settings.get("spray_copies", 6))
-    capacity = int(point.settings.get("capacity_bytes", 0)) or None
-    policy = str(point.settings.get("policy", "oldest"))
-    pattern = str(point.settings.get("pattern", "uniform"))
-    tech = str(point.settings.get("tech", "bluetooth"))
-    inject_start = float(point.settings.get("inject_start_s", 10.0))
-    inject_end = float(point.settings.get("inject_end_s",
-                                          duration_s / 2.0))
-    metrics: Metrics = {}
-    for router_name in routers:
-        scenario, plane, nodes, resolved = _paired_router_run(
-            point, router_name,
-            lambda scenario, router: DtnOverlay(
-                scenario.world, router, tech=tech,
-                capacity_bytes=capacity, policy=policy,
-                meter=scenario.meter),
-            spray_copies=spray_copies, duration_s=duration_s,
-            messages=messages, ttl_s=ttl_s, size_bytes=size_bytes,
-            pattern=pattern, inject_start=inject_start,
-            inject_end=inject_end)
-        latencies = plane.latencies()
-        counters = plane.counters
-        faults = scenario.world.faults
-        fault_counts = (faults.counters.as_dict() if faults is not None
-                        else {"crashes": 0, "reboots": 0,
-                              "jammed_deliveries": 0,
-                              "byzantine_beacons": 0})
-        metrics.update({
-            "nodes": len(nodes),
-            "pattern_" + resolved: 1,
-            "created": counters.created,
-            "fault_events":
-                len(faults.schedule) if faults is not None else 0,
-            f"{router_name}_delivery_ratio": plane.delivery_ratio(),
-            f"{router_name}_delivered": counters.delivered,
-            f"{router_name}_latency_mean":
-                statistics.fmean(latencies) if latencies else None,
-            f"{router_name}_transmissions": counters.transmissions,
-            f"{router_name}_overhead": plane.overhead_ratio(),
-            f"{router_name}_wakeups": plane.wakeups,
-            f"{router_name}_duplicates": counters.duplicates,
-            f"{router_name}_expired": counters.expired,
-            f"{router_name}_dropped_dead": counters.dropped_dead,
-            f"{router_name}_crashes": fault_counts["crashes"],
-            f"{router_name}_reboots": fault_counts["reboots"],
-            f"{router_name}_jammed": fault_counts["jammed_deliveries"],
-            f"{router_name}_byzantine":
-                fault_counts["byzantine_beacons"],
-        })
-    return metrics
-
-
-# ----------------------------------------------------------------------
-# dtn_bandwidth: routers compared under bandwidth-limited contacts
-# ----------------------------------------------------------------------
-@register_workload("dtn_bandwidth")
-def dtn_bandwidth(point: RunPoint) -> Metrics:
-    """Paired router comparison under finite contact byte budgets.
-
-    The same paired design as the ``dtn`` workload — every router in
-    ``settings["routers"]`` re-runs identical mobility and identical
-    injections — but through the bandwidth-limited
-    :class:`~repro.dtn.capacity.BandwidthDtnOverlay`: contacts carry at
-    most ``window × data_rate`` bytes, transfers are ranked, serialised
-    and resumable, and router control traffic (PRoPHET's predictability
-    vectors) eats into every budget.  This is the workload behind the
-    ``bandwidth_sweep`` spec and the "PRoPHET ≥ epidemic under
-    constrained bandwidth" gate in
-    ``benchmarks/bench_contact_capacity.py``.
-
-    ``settings`` (beyond the ``dtn`` workload's): ``rate_Bps`` (0 =
-    the technology's own :attr:`~repro.radio.technologies.Technology.
-    data_rate_Bps`; any positive value prices contacts at an explicit
-    constrained rate), ``size_bytes`` defaults to 200 kB (camera
-    pictures, the §6 migration payload) and ``routers`` to
-    ``("epidemic", "spray", "prophet")``.
-    """
-    duration_s = float(point.settings.get("duration_s", 600.0))
-    messages = int(point.settings.get("messages", 24))
-    ttl_s = float(point.settings.get("ttl_s", 480.0))
-    size_bytes = int(point.settings.get("size_bytes", 200_000))
-    routers = list(point.settings.get(
-        "routers", ("epidemic", "spray", "prophet")))
-    spray_copies = int(point.settings.get("spray_copies", 6))
-    capacity = int(point.settings.get("capacity_bytes", 0)) or None
-    policy = str(point.settings.get("policy", "oldest"))
-    pattern = str(point.settings.get("pattern", "auto"))
-    tech = str(point.settings.get("tech", "bluetooth"))
-    rate_Bps = float(point.settings.get("rate_Bps", 0.0)) or None
-    inject_start = float(point.settings.get("inject_start_s", 120.0))
-    inject_end = float(point.settings.get("inject_end_s",
-                                          duration_s / 2.0))
-    metrics: Metrics = {}
-    for router_name in routers:
-        scenario, plane, nodes, resolved = _paired_router_run(
-            point, router_name,
-            lambda scenario, router: BandwidthDtnOverlay(
-                scenario.world, router, tech=tech,
-                capacity_bytes=capacity, policy=policy,
-                meter=scenario.meter, data_rate_Bps=rate_Bps),
-            spray_copies=spray_copies, duration_s=duration_s,
-            messages=messages, ttl_s=ttl_s, size_bytes=size_bytes,
-            pattern=pattern, inject_start=inject_start,
-            inject_end=inject_end)
-        latencies = plane.latencies()
-        counters = plane.counters
-        metrics.update({
-            "nodes": len(nodes),
-            "pattern_" + resolved: 1,
-            "created": counters.created,
-            "rate_Bps": plane.data_rate_Bps,
-            f"{router_name}_delivery_ratio": plane.delivery_ratio(),
-            f"{router_name}_delivered": counters.delivered,
-            f"{router_name}_latency_mean":
-                statistics.fmean(latencies) if latencies else None,
-            f"{router_name}_transmissions": counters.transmissions,
-            f"{router_name}_overhead": plane.overhead_ratio(),
-            f"{router_name}_wakeups": plane.wakeups,
-            f"{router_name}_bytes_offered": counters.bytes_offered,
-            f"{router_name}_bytes_transferred":
-                counters.bytes_transferred,
-            f"{router_name}_transfers_truncated":
-                counters.transfers_truncated,
-            f"{router_name}_transfers_cancelled":
-                counters.transfers_cancelled,
-            f"{router_name}_control_bytes":
-                scenario.meter.bytes(category="dtn-control"),
-        })
-    return metrics
-
-
-# ----------------------------------------------------------------------
-# dtn_phy: routers compared under the lossy physical layer
-# ----------------------------------------------------------------------
-@register_workload("dtn_phy")
-def dtn_phy(point: RunPoint) -> Metrics:
-    """Paired router comparison with :mod:`repro.radio.phy` active.
-
-    The same paired design and the same bandwidth-limited plane as the
-    ``dtn_bandwidth`` workload — every router re-runs identical
-    mobility and identical injections through a
-    :class:`~repro.dtn.capacity.BandwidthDtnOverlay` — but the point's
-    scenario params are expected to switch on the lossy PHY
-    (``shadowing_sigma_db`` / ``phy_collisions``), so the comparison
-    measures how each routing policy survives fading, collisions and
-    lost control traffic.  Epidemic's flooding now *contends with
-    itself*: parallel sessions overlap at shared receivers and lost
-    legs burn finite window budget on retries, which is the
-    ``bench_phy`` gate.  With all PHY params at zero the scenario
-    installs no plane at all and the metrics this workload shares with
-    ``dtn_bandwidth`` are byte-identical to it — the differential
-    zero-loss identity gate.
-
-    ``settings`` mirror the ``dtn_bandwidth`` workload's, with
-    ``routers`` defaulting to ``("epidemic", "spray")`` (the pair whose
-    gap the contention gate watches).  Beyond the ``dtn_bandwidth``
-    metrics, each router leg reports the PHY plane's counters
-    (``*_phy_offered`` / ``*_phy_delivered`` / ``*_phy_lost_fading`` /
-    ``*_phy_lost_collision`` / ``*_phy_captured``); all zero when no
-    plane is installed.
-    """
-    duration_s = float(point.settings.get("duration_s", 600.0))
-    messages = int(point.settings.get("messages", 24))
-    ttl_s = float(point.settings.get("ttl_s", 480.0))
-    size_bytes = int(point.settings.get("size_bytes", 200_000))
-    routers = list(point.settings.get("routers", ("epidemic", "spray")))
-    spray_copies = int(point.settings.get("spray_copies", 6))
-    capacity = int(point.settings.get("capacity_bytes", 0)) or None
-    policy = str(point.settings.get("policy", "oldest"))
-    pattern = str(point.settings.get("pattern", "auto"))
-    tech = str(point.settings.get("tech", "bluetooth"))
-    rate_Bps = float(point.settings.get("rate_Bps", 0.0)) or None
-    inject_start = float(point.settings.get("inject_start_s", 120.0))
-    inject_end = float(point.settings.get("inject_end_s",
-                                          duration_s / 2.0))
-    metrics: Metrics = {}
-    for router_name in routers:
-        scenario, plane, nodes, resolved = _paired_router_run(
-            point, router_name,
-            lambda scenario, router: BandwidthDtnOverlay(
-                scenario.world, router, tech=tech,
-                capacity_bytes=capacity, policy=policy,
-                meter=scenario.meter, data_rate_Bps=rate_Bps),
-            spray_copies=spray_copies, duration_s=duration_s,
-            messages=messages, ttl_s=ttl_s, size_bytes=size_bytes,
-            pattern=pattern, inject_start=inject_start,
-            inject_end=inject_end)
-        latencies = plane.latencies()
-        counters = plane.counters
-        phy = scenario.world.phy
-        phy_counts = (phy.counters.as_dict() if phy is not None
-                      else {"offered": 0, "delivered": 0,
-                            "lost_fading": 0, "lost_collision": 0,
-                            "captured": 0})
-        metrics.update({
-            "nodes": len(nodes),
-            "pattern_" + resolved: 1,
-            "created": counters.created,
-            "rate_Bps": plane.data_rate_Bps,
-            f"{router_name}_delivery_ratio": plane.delivery_ratio(),
-            f"{router_name}_delivered": counters.delivered,
-            f"{router_name}_latency_mean":
-                statistics.fmean(latencies) if latencies else None,
-            f"{router_name}_transmissions": counters.transmissions,
-            f"{router_name}_overhead": plane.overhead_ratio(),
-            f"{router_name}_wakeups": plane.wakeups,
-            f"{router_name}_bytes_offered": counters.bytes_offered,
-            f"{router_name}_bytes_transferred":
-                counters.bytes_transferred,
-            f"{router_name}_transfers_truncated":
-                counters.transfers_truncated,
-            f"{router_name}_transfers_cancelled":
-                counters.transfers_cancelled,
-            f"{router_name}_control_bytes":
-                scenario.meter.bytes(category="dtn-control"),
-            f"{router_name}_phy_offered": phy_counts["offered"],
-            f"{router_name}_phy_delivered": phy_counts["delivered"],
-            f"{router_name}_phy_lost_fading": phy_counts["lost_fading"],
-            f"{router_name}_phy_lost_collision":
-                phy_counts["lost_collision"],
-            f"{router_name}_phy_captured": phy_counts["captured"],
-        })
-    return metrics
+for _name in DTN_PRESETS:
+    register_workload(_name)(functools.partial(run_dtn_preset, _name))
 
 
 # ----------------------------------------------------------------------

@@ -8,16 +8,20 @@ other component), because a collision would silently serve one cell's
 result as another's.
 """
 
+import ast
+import functools
+import importlib.util
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import ExperimentSpec
+from repro.experiments import ExperimentSpec, workloads
 from repro.experiments.cache import CampaignCache, cache_key, point_key
 from repro.experiments.spec import canonical
 from repro.experiments.workloads import workload_fingerprint
@@ -157,6 +161,73 @@ def test_workload_fingerprint_stable_and_distinct():
     assert workload_fingerprint("discovery") \
         != workload_fingerprint("line_delay")
     assert len(workload_fingerprint("discovery")) == 64
+
+
+def _workloads_copy(tmp_path, monkeypatch, edit=None):
+    """A private copy of the workloads module, optionally with a
+    comment line inserted inside the top-level definition ``edit``."""
+    source = pathlib.Path(workloads.__file__).read_text()
+    if edit is not None:
+        node = next(node for node in ast.parse(source).body
+                    if edit in (getattr(node, "name", None),
+                                getattr(getattr(node, "target", None),
+                                        "id", None)))
+        assert node.end_lineno > node.lineno, edit
+        lines = source.splitlines(keepends=True)
+        lines.insert(node.lineno, "# edited\n")
+        source = "".join(lines)
+    name = f"workloads_copy_{edit}"
+    path = tmp_path / f"{name}.py"
+    path.write_text(source)
+    module_spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(module_spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+DTN_PRESETS = ("dtn", "dtn_faults", "dtn_bandwidth", "dtn_phy")
+
+
+@pytest.mark.parametrize("shared", ["run_dtn_preset", "DTN_PRESETS",
+                                    "_pattern_endpoints", "_fault_group"])
+def test_fingerprint_covers_shared_workload_code(tmp_path, monkeypatch,
+                                                 shared):
+    """Editing code the DTN presets share changes every preset's
+    fingerprint, and leaves an unrelated workload's alone."""
+    base = _workloads_copy(tmp_path, monkeypatch)
+    edited = _workloads_copy(tmp_path, monkeypatch, edit=shared)
+    for preset in DTN_PRESETS:
+        assert base.workload_fingerprint(preset) \
+            != edited.workload_fingerprint(preset), (shared, preset)
+    assert base.workload_fingerprint("line_delay") \
+        == edited.workload_fingerprint("line_delay")
+
+
+def _double(point):
+    return {"x": 2}
+
+
+class _Callable:
+    def __call__(self, point):
+        return {"x": 3}
+
+
+def test_sourceless_workloads_never_share_a_fingerprint(monkeypatch):
+    """Partials and callable objects hash their code and bound args,
+    not a constant shared by every callable without ``__code__``."""
+    for name, fn in [("p1", functools.partial(_double)),
+                     ("p2", functools.partial(_double, scale=2)),
+                     ("p3", functools.partial(_Callable())),
+                     ("obj", _Callable())]:
+        monkeypatch.setitem(workloads._WORKLOADS, name, fn)
+    fingerprints = {workload_fingerprint(name)
+                    for name in ("p1", "p2", "p3", "obj")}
+    assert len(fingerprints) == 4
+    plain = workload_fingerprint("p1")
+    monkeypatch.setitem(workloads._WORKLOADS, "p1",
+                        functools.partial(_double, scale=3))
+    assert workload_fingerprint("p1") != plain
 
 
 # ----------------------------------------------------------------------
