@@ -35,6 +35,7 @@ Both endpoints wrap their own side::
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 from repro.core.connection import PeerHoodConnection
@@ -70,10 +71,6 @@ class BufferEntry:
     stored_at: float
     expires_at: float | None = None
 
-    def expired(self, now: float) -> bool:
-        """True once ``now`` has passed the entry's expiry instant."""
-        return self.expires_at is not None and now >= self.expires_at
-
 
 class BoundedBuffer:
     """An ordered, keyed, byte-bounded buffer with eviction policies.
@@ -86,7 +83,8 @@ class BoundedBuffer:
     means unbounded (the reliable-channel window).  The buffer never
     advances a clock of its own: callers pass ``now`` explicitly, so
     expiry needs no timer wakeups (the DTN plane sweeps lazily at
-    contact events — zero polling).
+    contact events — zero polling).  :attr:`expiry_floor` makes those
+    lazy sweeps O(1) until the earliest entry can expire.
     """
 
     def __init__(self, capacity_bytes: int | None = None,
@@ -105,6 +103,11 @@ class BoundedBuffer:
         self.evicted = 0
         #: Entries dropped because their TTL ran out.
         self.expired = 0
+        #: Lower bound on every entry's ``expires_at``: no entry expires
+        #: before this instant (``inf`` when none can).  Inserts lower
+        #: it; only a real sweep raises it, so removals leave it stale
+        #: low, which merely costs one extra sweep.
+        self.expiry_floor = math.inf
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -158,6 +161,8 @@ class BoundedBuffer:
             self.used_bytes -= old.size_bytes
         self._entries[key] = entry   # existing keys keep dict position
         self.used_bytes += size_bytes
+        if expires is not None and expires < self.expiry_floor:
+            self.expiry_floor = expires
         evicted: list[BufferEntry] = []
         while (self.capacity_bytes is not None
                and self.used_bytes > self.capacity_bytes):
@@ -223,16 +228,30 @@ class BoundedBuffer:
         return victims
 
     def drop_expired(self, now: float) -> list[BufferEntry]:
-        """Remove every entry whose TTL has passed at ``now``.  O(n).
+        """Remove every entry whose TTL has passed at ``now``.
 
         Returns the dropped entries in insertion order and counts them
         in ``expired``.  Callers sweep lazily (at contact events, sends
-        and queries), so expiry costs no timer wakeups.
+        and queries), so expiry costs no timer wakeups.  O(1) while
+        ``now`` is below :attr:`expiry_floor`; otherwise one O(n) pass
+        that also recomputes the floor from the survivors.
         """
-        victims = [e for e in self._entries.values() if e.expired(now)]
+        if now < self.expiry_floor:
+            return []
+        victims: list[BufferEntry] = []
+        floor = math.inf
+        for entry in self._entries.values():
+            expires = entry.expires_at
+            if expires is None:
+                continue
+            if now >= expires:
+                victims.append(entry)
+            elif expires < floor:
+                floor = expires
         for victim in victims:
             self._drop(victim)
             self.expired += 1
+        self.expiry_floor = floor
         return victims
 
 

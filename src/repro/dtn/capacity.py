@@ -212,8 +212,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         if pair in self._sessions:
             return
         now = self.sim.now
-        self._adjacent[a].add(b)
-        self._adjacent[b].add(a)
+        self._link(a, b)
         self.stores[a].expire(now)
         self.stores[b].expire(now)
         self.router.on_contact(a, b, now)

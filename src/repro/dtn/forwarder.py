@@ -39,6 +39,13 @@ Exchange semantics (both implementations share them):
 3. Delivery to the destination releases the transmitting custodian's
    copy and records one :class:`DeliveryRecord` per bundle (first copy
    wins; summary vectors stop later copies).
+4. Settled pairs are skipped: a directed pair whose full offer pass
+   found nothing to send is stamped with both stores'
+   :attr:`~repro.dtn.store.MessageStore.version`; while the stamp still
+   matches (and neither store has reached its earliest expiry) the next
+   pass would find nothing again, so it is not run.  This needs
+   ``eligible`` to be a pure function of the bundle and the peer, so it
+   only applies to routers that keep the base ``Router.offers``.
 
 Churn: a node that is ``power_off()``/``remove_node()``-ed mid-carry
 loses its buffered bundles (``DtnCounters.dropped_dead``) and leaves
@@ -76,6 +83,10 @@ SUMMARY_VECTOR_ID_BYTES = 8
 
 #: Guard against accidentally installing O(N²) watches at absurd N.
 DEFAULT_MAX_PAIRS = 200_000
+
+#: Adjacency stamp of a pair with no settled offer pass (versions are
+#: never negative).
+_UNSETTLED = -1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,8 +137,16 @@ class DtnPlane:
         self.delivered: dict[str, DeliveryRecord] = {}
         #: Contact-event callback firings (see class docstrings).
         self.wakeups = 0
-        self._adjacent: dict[str, set[str]] = {
-            name: set() for name in self.stores}
+        #: Current contacts with their settled stamps: node → {contact:
+        #: the contact's store version when the node's last offer pass
+        #: to it found nothing to send, else ``_UNSETTLED``}.  Stamps
+        #: hold only while the node's own version equals
+        #: ``_settled_at[node]``; the first stamp at a newer version
+        #: clears the others.  Contact-up resets a pair's stamps and
+        #: contact-down drops them with the adjacency.
+        self._adjacent: dict[str, dict[str, int]] = {
+            name: {} for name in self.stores}
+        self._settled_at: dict[str, int] = {}
         self._dead: set[str] = set()
         self._sequences: dict[str, int] = {}
         #: Installed fault plane, if the world carries one (crash /
@@ -144,6 +163,9 @@ class DtnPlane:
         #: vector) for the rest of the contact.  Cleared at
         #: :meth:`contact_down`.
         self._blind: set[tuple[str, str]] = set()
+        #: Only the base offer pass is a function of store content and
+        #: vector alone; a router that overrides ``offers`` never skips.
+        self._skips_settled = type(router).offers is Router.offers
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.register_dtn(self)
@@ -207,14 +229,17 @@ class DtnPlane:
         The router observes the encounter first (``on_contact`` — the
         PRoPHET predictability updates), then control traffic is
         metered (summary vectors + router control vectors), then the
-        exchange cascade runs.  O(cluster) through the cascade.
+        exchange cascade runs.  The pair's settled stamps are dropped
+        first, so both directions get a full offer pass.  The cascade
+        costs O(cluster) exchanges, but an exchange over a settled pair
+        is O(1): attaching to a clique of k empty stores makes at most
+        k(k−1) offer passes.
         """
         if a in self._dead or b in self._dead:
             return
         if a not in self.stores or b not in self.stores:
             return
-        self._adjacent[a].add(b)
-        self._adjacent[b].add(a)
+        self._link(a, b)
         self.router.on_contact(a, b, self.sim.now)
         self._charge_contact_control(a, b)
         if self.phy is not None:
@@ -226,11 +251,28 @@ class DtnPlane:
 
     def contact_down(self, a: str, b: str) -> None:
         """A contact closed: forget the adjacency.  O(1)."""
-        self._adjacent.get(a, set()).discard(b)
-        self._adjacent.get(b, set()).discard(a)
+        self._adjacent.get(a, {}).pop(b, None)
+        self._adjacent.get(b, {}).pop(a, None)
         if self._blind:
             self._blind.discard((a, b))
             self._blind.discard((b, a))
+
+    def _link(self, a: str, b: str) -> None:
+        """Record the adjacency, with neither direction settled."""
+        self._adjacent[a][b] = _UNSETTLED
+        self._adjacent[b][a] = _UNSETTLED
+
+    def _stamp_settled(self, carrier: str, peer: str) -> None:
+        """The carrier's offer pass to ``peer`` found nothing to send."""
+        contacts = self._adjacent[carrier]
+        if peer not in contacts:
+            return
+        version = self.stores[carrier].version
+        if self._settled_at.get(carrier) != version:
+            self._settled_at[carrier] = version
+            for other in contacts:
+                contacts[other] = _UNSETTLED
+        contacts[peer] = self.stores[peer].version
 
     def _phy_control(self, a: str, b: str) -> None:
         """Put both directions' contact-open control on the lossy air.
@@ -258,14 +300,15 @@ class DtnPlane:
         Its summary vector (8 B per seen id) plus the router's own
         control vector (:meth:`~repro.dtn.routing.Router.
         control_bytes` — 0 for the stateless baselines, the
-        predictability table for PRoPHET).  O(seen).
+        predictability table for PRoPHET).  O(1) while the summary
+        vector is cached, O(seen) to rebuild it.
         """
         return (SUMMARY_VECTOR_ID_BYTES
                 * len(self.stores[sender].summary_vector())
                 + self.router.control_bytes(sender, receiver))
 
     def _charge_contact_control(self, a: str, b: str) -> None:
-        """Meter each side's contact-open control traffic.  O(seen)."""
+        """Meter each side's contact-open control traffic."""
         if self.meter is None:
             return
         for sender, receiver in ((a, b), (b, a)):
@@ -289,7 +332,14 @@ class DtnPlane:
         return vector
 
     def _exchange(self, carrier: str, peer: str) -> bool:
-        """One-directional offer pass; True if the peer's store grew."""
+        """One-directional offer pass; True if the peer's store grew.
+
+        The fault gate, both expiry sweeps and the advertised vector
+        run first, because they count faults and drop bundles.  A pair
+        settled at the current store versions then returns at once;
+        the skip needs the peer's true vector (blind and byzantine
+        advertisements never skip).
+        """
         if (self.faults is not None
                 and not self.faults.can_transmit(carrier, peer)):
             return False
@@ -298,9 +348,20 @@ class DtnPlane:
         peer_store = self.stores[peer]
         carrier_store.expire(now)
         peer_store.expire(now)
+        vector = self._peer_vector(peer, carrier)
+        skips = (self._skips_settled
+                 and vector is peer_store.summary_vector())
+        if (skips
+                and self._settled_at.get(carrier) == carrier_store.version
+                and self._adjacent[carrier].get(peer) == peer_store.version):
+            return False
+        offers = self.router.offers(carrier_store, peer, vector)
+        if not offers:
+            if skips:
+                self._stamp_settled(carrier, peer)
+            return False
         grew = False
-        for bundle in self.router.offers(
-                carrier_store, peer, self._peer_vector(peer, carrier)):
+        for bundle in offers:
             if peer_store.has_seen(bundle.bundle_id):
                 self.counters.duplicates += 1
                 continue
@@ -351,15 +412,31 @@ class DtnPlane:
         so it terminates.  The cluster-wide equilibrium models contacts
         whose duration dwarfs the transmission time of the buffered
         bundles (the baseline assumption; see module docstring).
+        Without a fault plane nothing counts gates or advertisements,
+        so a pair still settled at the current store versions, with
+        neither store at its earliest expiry, is skipped here without
+        calling :meth:`_exchange`.
         """
+        settled_at = (self._settled_at if self._skips_settled
+                      and self.faults is None else None)
+        now = self.sim.now
+        stores = self.stores
         queue: collections.deque[str] = collections.deque([origin])
         while queue:
             node = queue.popleft()
             if node in self._dead:
                 continue
-            for peer in sorted(self._adjacent.get(node, ())):
+            contacts = self._adjacent[node]
+            for peer in sorted(contacts):
                 if peer in self._dead:
                     continue
+                if settled_at is not None:
+                    carrier_store, peer_store = stores[node], stores[peer]
+                    if (settled_at.get(node) == carrier_store.version
+                            and contacts.get(peer) == peer_store.version
+                            and now < carrier_store.expiry_floor
+                            and now < peer_store.expiry_floor):
+                        continue
                 if self._exchange(node, peer):
                     queue.append(peer)
 
@@ -589,7 +666,7 @@ class PollingDtnOverlay(DtnPlane):
             fresh[name] = {peer for peer in found if peer in self.stores
                            and peer not in self._dead}
         for name in live:
-            before = self._adjacent[name]
+            before = self._adjacent[name].keys()
             now = fresh[name]
             for peer in sorted(before - now):
                 self.contact_down(name, peer)

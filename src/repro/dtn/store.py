@@ -15,6 +15,10 @@ adds what custody needs on top:
   currently carries *plus* ids it has already seen (received, relayed
   onward, or delivered as destination), so a contact never re-sends
   what the peer already processed;
+* **a content version** — :attr:`MessageStore.version` changes with
+  every change to custody or to the summary vector, so the forwarder
+  can tell that a pair which had nothing to trade still has nothing
+  (the settled-pair skip, :mod:`repro.dtn.forwarder`);
 * **partial fragments** — receiver-side byte counts of transfers the
   bandwidth-limited plane (:mod:`repro.dtn.capacity`) had to truncate
   at a window edge.  The fragment belongs to the *receiver* (reactive
@@ -45,7 +49,8 @@ class MessageStore:
     ``capacity_bytes=None`` means unbounded.  Insertion order is
     preserved (offers iterate oldest-first).  All operations are O(1)
     amortised except the sweeps/scans inherited from the shared buffer
-    (O(n) in stored bundles).
+    (O(n) in stored bundles; an expiry sweep is O(1) until the earliest
+    expiry).
     """
 
     def __init__(self, node_id: str, capacity_bytes: int | None = None,
@@ -58,6 +63,11 @@ class MessageStore:
         #: Every bundle id this node has ever held or delivered — the
         #: summary-vector memory that prevents epidemic re-infection.
         self._seen: set[str] = set()
+        #: ``frozenset(_seen)``, rebuilt only after ``_seen`` changed.
+        self._vector: frozenset[str] | None = None
+        #: Bumped on every change to the buffered bundles or to the
+        #: summary vector; equal versions mean equal content.
+        self.version = 0
         #: bundle id → bytes received so far of a truncated transfer
         #: (the partial-resume ledger; cleared on completed custody).
         self._partials: dict[str, int] = {}
@@ -81,6 +91,12 @@ class MessageStore:
     def policy(self) -> str:
         return self._buffer.policy
 
+    @property
+    def expiry_floor(self) -> float:
+        """No buffered bundle expires before this instant, so an
+        :meth:`expire` at an earlier ``now`` drops nothing."""
+        return self._buffer.expiry_floor
+
     def bundles(self) -> list[Bundle]:
         """Buffered bundles in insertion (custody) order."""
         return [entry.item for entry in self._buffer.entries()]
@@ -100,11 +116,24 @@ class MessageStore:
         The destination marks delivered bundles this way, so later
         custodians of the same bundle never re-offer it.  O(1).
         """
+        if bundle_id not in self._seen:
+            self._note_seen(bundle_id)
+            self.version += 1
+
+    def _note_seen(self, bundle_id: str) -> None:
         self._seen.add(bundle_id)
+        self._vector = None
 
     def summary_vector(self) -> frozenset[str]:
-        """The epidemic dedup set: carried ∪ previously-seen ids."""
-        return frozenset(self._seen)
+        """The epidemic dedup set: carried ∪ previously-seen ids.
+
+        The same frozenset object is returned until the seen set
+        changes, so repeated calls between changes are O(1); a rebuild
+        is O(seen).
+        """
+        if self._vector is None:
+            self._vector = frozenset(self._seen)
+        return self._vector
 
     # ------------------------------------------------------------------
     # partial fragments (bandwidth-limited transfers)
@@ -144,7 +173,9 @@ class MessageStore:
         if bundle.expired(now):
             self.counters.expired += 1
             return False
-        self._seen.add(bundle.bundle_id)
+        if bundle.bundle_id not in self._seen:
+            self._note_seen(bundle.bundle_id)
+        self.version += 1
         evicted = self._buffer.add(
             bundle.bundle_id, bundle, bundle.size_bytes, now=now,
             ttl_s=bundle.expires_at - now)
@@ -159,17 +190,27 @@ class MessageStore:
         self._buffer.add(bundle.bundle_id, bundle, bundle.size_bytes,
                          now=now, ttl_s=max(bundle.expires_at - now,
                                             1e-9))
+        self.version += 1
 
     def remove(self, bundle_id: str) -> Bundle | None:
         """Release custody deliberately (delivered/acked).  O(1)."""
         entry = self._buffer.remove(bundle_id)
-        return None if entry is None else entry.item
+        if entry is None:
+            return None
+        self.version += 1
+        return entry.item
 
     def expire(self, now: float) -> list[Bundle]:
-        """Drop every bundle whose TTL has passed (lazy sweep).  O(n)."""
+        """Drop every bundle whose TTL has passed (lazy sweep).
+
+        O(1) until the earliest expiry (:attr:`expiry_floor`), O(n) in
+        stored bundles from then on.
+        """
         dropped = [entry.item
                    for entry in self._buffer.drop_expired(now)]
-        self.counters.expired += len(dropped)
+        if dropped:
+            self.counters.expired += len(dropped)
+            self.version += 1
         return dropped
 
     def drop_all(self) -> list[Bundle]:
@@ -181,6 +222,7 @@ class MessageStore:
         """
         victims = self._buffer.drop_matching(lambda entry: True)
         self.counters.dropped_dead += len(victims)
+        self.version += 1
         self._partials.clear()   # fragments die with the node
         return [entry.item for entry in victims]
 
@@ -196,6 +238,7 @@ class MessageStore:
         """
         victims = self.drop_all()
         self._seen.clear()
+        self._vector = None
         return victims
 
     def __repr__(self) -> str:

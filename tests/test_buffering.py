@@ -115,6 +115,91 @@ def test_bounded_buffer_ttl_expiry_is_lazy_and_counted():
     assert buffer.keys() == ["c"]
 
 
+def _full_scan_sweep(buffer, now):
+    """Reference sweep: test every entry, as before the expiry floor."""
+    victims = [entry for entry in buffer.entries()
+               if entry.expires_at is not None and now >= entry.expires_at]
+    for victim in victims:
+        buffer.remove(victim.key)
+    return [victim.key for victim in victims]
+
+
+def _add_replace_shorter(buffer):
+    buffer.add("a", 1, 10, now=0.0, ttl_s=100.0)
+    buffer.add("b", 2, 10, now=0.0, ttl_s=50.0)
+    buffer.add("a", 1, 10, now=1.0, ttl_s=2.0)      # a now dies at 3
+
+
+def _add_replace_longer(buffer):
+    buffer.add("a", 1, 10, now=0.0, ttl_s=5.0)
+    buffer.add("b", 2, 10, now=0.0, ttl_s=50.0)
+    buffer.add("a", 1, 10, now=1.0, ttl_s=100.0)    # a now dies at 101
+
+
+def _remove_earliest(buffer):
+    buffer.add("a", 1, 10, now=0.0, ttl_s=5.0)
+    buffer.add("b", 2, 10, now=0.0, ttl_s=20.0)
+    buffer.remove("a")                               # floor left stale
+
+
+def _drop_matching_earliest(buffer):
+    buffer.add("a", 1, 10, now=0.0, ttl_s=5.0)
+    buffer.add("b", 2, 10, now=0.0, ttl_s=20.0)
+    buffer.add("c", 3, 10, now=0.0)
+    buffer.drop_matching(lambda entry: entry.key == "a")
+
+
+def _immortal_entries(buffer):
+    buffer.add("a", 1, 10, now=0.0)
+    buffer.add("b", 2, 10, now=0.0, ttl_s=7.0)
+    buffer.add("c", 3, 10, now=0.0)
+
+
+def _evicted_earliest(buffer):
+    buffer.add("a", 1, 10, now=0.0, ttl_s=5.0)
+    buffer.add("b", 2, 10, now=0.0, ttl_s=20.0)
+    buffer.add("c", 3, 10, now=0.0, ttl_s=30.0)     # evicts a at 20 B
+
+
+@pytest.mark.parametrize("setup,capacity", [
+    (_add_replace_shorter, None), (_add_replace_longer, None),
+    (_remove_earliest, None), (_drop_matching_earliest, None),
+    (_immortal_entries, None), (_evicted_earliest, 20)])
+def test_bounded_buffer_expiry_floor_matches_a_full_scan(setup, capacity):
+    """The floor only skips sweeps that would find nothing: every sweep
+    returns the victims and ``expired`` count a full scan would, at
+    instants before, exactly at and after each expiry."""
+    buffer = BoundedBuffer(capacity_bytes=capacity)
+    reference = BoundedBuffer(capacity_bytes=capacity)
+    setup(buffer)
+    setup(reference)
+    assert buffer.keys() == reference.keys()
+    expired = 0
+    for now in (1.0, 2.9, 3.0, 4.0, 5.0, 6.0, 7.0, 19.9, 20.0, 25.0,
+                30.0, 100.0, 101.0, 1e9):
+        expected = _full_scan_sweep(reference, now)
+        expired += len(expected)
+        assert [entry.key for entry in buffer.drop_expired(now)] == expected
+        assert buffer.expired == expired
+        assert buffer.keys() == reference.keys()
+
+
+def test_bounded_buffer_expiry_floor_skips_until_the_earliest_expiry():
+    buffer = BoundedBuffer()
+    assert buffer.expiry_floor == float("inf")
+    buffer.add("a", 1, 10, now=0.0)                  # immortal
+    assert buffer.expiry_floor == float("inf")
+    buffer.add("b", 2, 10, now=0.0, ttl_s=8.0)
+    buffer.add("c", 3, 10, now=0.0, ttl_s=4.0)
+    assert buffer.expiry_floor == 4.0
+    assert buffer.drop_expired(3.99) == []
+    assert [entry.key for entry in buffer.drop_expired(4.0)] == ["c"]
+    assert buffer.expiry_floor == 8.0                # recomputed
+    assert [entry.key for entry in buffer.drop_expired(8.0)] == ["b"]
+    assert buffer.expiry_floor == float("inf")
+    assert buffer.keys() == ["a"] and buffer.expired == 2
+
+
 def test_bounded_buffer_deliberate_removal_not_counted():
     buffer = BoundedBuffer(capacity_bytes=100)
     buffer.add("a", 1, 10, now=0.0)
