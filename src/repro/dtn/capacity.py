@@ -6,9 +6,10 @@ Real mobile links exist only for the seconds two coverage disks
 overlap, and carry ``window × data_rate`` bytes at most.  This module
 replaces the instantaneous cascade with a **transfer schedule**:
 
-* **byte budget** — at contact-up the plane asks the analytic
-  :class:`~repro.radio.contacts.ContactSolver` for the predicted
-  LinkDown instant and prices the whole contact in closed form:
+* **byte budget** — at contact-up the plane reads the predicted
+  LinkDown instant from the pair's armed watch
+  (:attr:`~repro.radio.bus.Watch.pending`, not a second solver call)
+  and prices the whole contact in closed form:
   ``budget = ⌊(t_down − t_up) × data_rate⌋`` (the technology's
   :attr:`~repro.radio.technologies.Technology.data_rate_Bps`, or the
   plane's explicit override).  Settled in-range pairs get an unbounded
@@ -61,9 +62,10 @@ import typing
 
 from repro.core.buffering import EVICT_OLDEST
 from repro.dtn.bundle import Bundle
-from repro.dtn.forwarder import DEFAULT_MAX_PAIRS, DtnOverlay
+from repro.dtn.forwarder import DtnOverlay
 from repro.dtn.routing import Router
 from repro.metrics.counters import TrafficMeter
+from repro.radio.bus import LINK_DOWN
 from repro.radio.technologies import Technology, get_technology
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -152,7 +154,6 @@ class BandwidthDtnOverlay(DtnOverlay):
                  capacity_bytes: int | None = None,
                  policy: str = EVICT_OLDEST,
                  meter: TrafficMeter | None = None,
-                 max_pairs: int = DEFAULT_MAX_PAIRS,
                  data_rate_Bps: float | None = None):
         tech_obj = get_technology(tech) if isinstance(tech, str) else tech
         if data_rate_Bps is None:
@@ -166,7 +167,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         # so every attribute above must exist first.
         super().__init__(world, router, tech=tech_obj, nodes=nodes,
                          capacity_bytes=capacity_bytes, policy=policy,
-                         meter=meter, max_pairs=max_pairs)
+                         meter=meter)
 
     # ------------------------------------------------------------------
     # capacity model
@@ -180,21 +181,21 @@ class BandwidthDtnOverlay(DtnOverlay):
                 now: float) -> tuple[float, int | None]:
         """Predicted ``(closes_at, budget_bytes)`` of a fresh contact.
 
-        One closed-form solve (O(segments)): the next LinkDown crossing
-        prices the window.  A settled in-range pair never closes —
-        ``(inf, None)``.  No crossing before the solver horizon caps
-        the budget at one horizon's worth of bytes (an *under*-estimate
-        — the byte-budget invariant is preserved); the real LinkDown
-        event still ends the session whenever it arrives.
+        O(1): the pair's watch re-armed before this contact opened.  Its
+        pending LinkDown prices the window; a parked (settled) pair never
+        closes — ``(inf, None)``.  A horizon re-check caps the budget at
+        one horizon's worth of bytes (an *under*-estimate — the
+        byte-budget invariant is preserved); the real LinkDown event
+        still ends the session whenever it arrives.
         """
-        solver = self.world.bus.solver
-        crossing = solver.next_link_crossing(a, b, self.tech, t0=now)
-        if crossing is not None and not crossing.inside:
-            closes_at = crossing.time
-        elif crossing is None and solver.pair_settled(a, b, now):
+        watch = self._watches[a, b]
+        pending = watch.pending
+        if pending is not None and pending.kind == LINK_DOWN:
+            closes_at = pending.time
+        elif not watch.armed:
             return (math.inf, None)
         else:
-            closes_at = now + solver.horizon_s
+            closes_at = now + self.world.bus.solver.horizon_s
         return (closes_at,
                 self.tech.contact_capacity_bytes(closes_at - now,
                                                  self.data_rate_Bps))
@@ -212,29 +213,13 @@ class BandwidthDtnOverlay(DtnOverlay):
         if pair in self._sessions:
             return
         now = self.sim.now
-        self._link(a, b)
         self.stores[a].expire(now)
         self.stores[b].expire(now)
-        self.router.on_contact(a, b, now)
-        control_ab = self.contact_control_bytes(a, b)
-        control_ba = self.contact_control_bytes(b, a)
-        if self.meter is not None:
-            self.meter.count(a, "dtn-control", control_ab)
-            self.meter.count(b, "dtn-control", control_ba)
-        if self.phy is not None:
-            # Control rides the lossy air too: a lost vector leaves the
-            # receiver blind about the speaker for this whole contact
-            # (it offers against the empty vector).  The budget and the
-            # meter charged the bytes regardless — airtime was spent.
-            for sender, receiver, size in ((a, b, control_ab),
-                                           (b, a, control_ba)):
-                if not self.phy.transmit(sender, receiver, size,
-                                         kind="control", tech=self.tech,
-                                         duration_s=self.airtime_s(size)):
-                    self._blind.add((receiver, sender))
+        # The budget charges the control bytes whether or not the PHY
+        # delivered them: the airtime was spent.
+        control = self._open_contact(a, b, airtime=self.airtime_s)
         closes_at, budget = self._window(pair[0], pair[1], now)
         session = ContactSession(pair[0], pair[1], now, closes_at, budget)
-        control = control_ab + control_ba
         session.used_bytes = control
         session.next_free = now + self.airtime_s(control)
         self._sessions[pair] = session

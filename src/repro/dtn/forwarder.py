@@ -13,11 +13,11 @@ mechanics.  Three classes:
   exchange cascade, delivery bookkeeping.  Knows nothing about *how*
   contacts are detected.
 * :class:`DtnOverlay` — the event-driven forwarder (the tentpole): one
-  repeating link watch per node pair on the connectivity bus
-  (:mod:`repro.radio.bus`), so the forwarder wakes **only** at
-  predicted LinkUp/LinkDown instants.  ``wakeups`` counts exactly those
-  callback firings — the invariant *no forwarder wakeup without a
-  scheduled contact event* is checkable as
+  repeating link watch per node pair from the connectivity bus's
+  contact feed (:mod:`repro.radio.bus`), so the forwarder wakes
+  **only** at predicted LinkUp/LinkDown instants.  ``wakeups`` counts
+  exactly those callback firings — the invariant *no forwarder wakeup
+  without a scheduled contact event* is checkable as
   ``overlay.wakeups <= world.stats.bus.fired``.
 * :class:`PollingDtnOverlay` — the 1 s polling oracle kept as the test
   and benchmark baseline: a process ticks every ``poll_interval_s``,
@@ -80,9 +80,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bytes charged per bundle id in a summary-vector exchange.
 SUMMARY_VECTOR_ID_BYTES = 8
-
-#: Guard against accidentally installing O(N²) watches at absurd N.
-DEFAULT_MAX_PAIRS = 200_000
 
 #: Adjacency stamp of a pair with no settled offer pass (versions are
 #: never negative).
@@ -239,11 +236,7 @@ class DtnPlane:
             return
         if a not in self.stores or b not in self.stores:
             return
-        self._link(a, b)
-        self.router.on_contact(a, b, self.sim.now)
-        self._charge_contact_control(a, b)
-        if self.phy is not None:
-            self._phy_control(a, b)
+        self._open_contact(a, b)
         self._exchange(a, b)
         self._exchange(b, a)
         self._cascade_from(a)
@@ -274,21 +267,35 @@ class DtnPlane:
                 contacts[other] = _UNSETTLED
         contacts[peer] = self.stores[peer].version
 
-    def _phy_control(self, a: str, b: str) -> None:
-        """Put both directions' contact-open control on the lossy air.
+    def _open_contact(self, a: str, b: str,
+                      airtime: typing.Callable[[int], float] | None = None,
+                      ) -> int:
+        """Link the pair, let the router observe the encounter, then
+        meter both control vectors and put them on the lossy air.
 
-        A lost vector leaves the *receiver* blind about the speaker for
-        the rest of this contact — it offers against the empty vector,
-        re-offering bundles the peer already holds (duplicates cost
-        transmissions and bytes, exactly the control-loss failure mode
-        binary links could never show).  The bytes were metered either
-        way: the speaker spent the airtime.
+        ``airtime`` prices a vector's air window (``None``: the
+        technology's).  A lost vector leaves the *receiver* blind about
+        the speaker for the rest of this contact — it offers against the
+        empty vector, re-offering bundles the peer already holds.  The
+        bytes count either way: the speaker spent the airtime.  Returns
+        both directions' control bytes.
         """
-        for sender, receiver in ((a, b), (b, a)):
-            size = self.contact_control_bytes(sender, receiver)
-            if not self.phy.transmit(sender, receiver, size,
-                                     kind="control", tech=self.tech):
-                self._blind.add((receiver, sender))
+        self._link(a, b)
+        self.router.on_contact(a, b, self.sim.now)
+        directions = [(sender, receiver,
+                       self.contact_control_bytes(sender, receiver))
+                      for sender, receiver in ((a, b), (b, a))]
+        if self.meter is not None:
+            for sender, _, size in directions:
+                self.meter.count(sender, "dtn-control", size)
+        if self.phy is not None:
+            for sender, receiver, size in directions:
+                if not self.phy.transmit(
+                        sender, receiver, size, kind="control",
+                        tech=self.tech, duration_s=None if airtime is None
+                        else airtime(size)):
+                    self._blind.add((receiver, sender))
+        return sum(size for _, _, size in directions)
 
     def contacts(self, node_id: str) -> list[str]:
         """Current contacts of ``node_id``, sorted."""
@@ -306,14 +313,6 @@ class DtnPlane:
         return (SUMMARY_VECTOR_ID_BYTES
                 * len(self.stores[sender].summary_vector())
                 + self.router.control_bytes(sender, receiver))
-
-    def _charge_contact_control(self, a: str, b: str) -> None:
-        """Meter each side's contact-open control traffic."""
-        if self.meter is None:
-            return
-        for sender, receiver in ((a, b), (b, a)):
-            self.meter.count(sender, "dtn-control",
-                             self.contact_control_bytes(sender, receiver))
 
     def _peer_vector(self, peer: str, carrier: str) -> frozenset:
         """The peer's summary vector *as the carrier heard it*.
@@ -540,13 +539,14 @@ class DtnPlane:
 
 
 class DtnOverlay(DtnPlane):
-    """Event-driven contact detection: one bus watch per node pair.
+    """Event-driven contact detection: the bus's contact feed.
 
-    Pairs already in range at attach time get a synthetic contact-up
-    (mirroring the contact-trace recorder's opening edge), because a
-    settled in-range pair never produces a LinkUp event.  ``detach()``
-    cancels the watches; the ``on_cancel`` hook distinguishes that
-    teardown from the bus cancelling a dead node's watches.
+    Pairs the feed reports in range at attach time get a synthetic
+    contact-up (mirroring the contact-trace recorder's opening edge),
+    because a settled in-range pair never produces a LinkUp event.
+    ``detach()`` cancels the watches; the ``on_cancel`` hook
+    distinguishes that teardown from the bus cancelling a dead node's
+    watches.
     """
 
     def __init__(self, world: "World", router: Router,
@@ -554,28 +554,14 @@ class DtnOverlay(DtnPlane):
                  nodes: typing.Sequence[str] | None = None,
                  capacity_bytes: int | None = None,
                  policy: str = EVICT_OLDEST,
-                 meter: TrafficMeter | None = None,
-                 max_pairs: int = DEFAULT_MAX_PAIRS):
+                 meter: TrafficMeter | None = None):
         super().__init__(world, router, tech=tech, nodes=nodes,
                          capacity_bytes=capacity_bytes, policy=policy,
                          meter=meter)
-        names = list(self.stores)
-        pair_count = len(names) * (len(names) - 1) // 2
-        if pair_count > max_pairs:
-            raise ValueError(
-                f"{pair_count} pairs exceed max_pairs={max_pairs}")
         self._detached = False
-        self._watches = []
-        seed_pairs = []
-        for i, first in enumerate(names):
-            for second in names[i + 1:]:
-                if world.in_range(first, second, self.tech):
-                    seed_pairs.append((first, second))
-                self._watches.append(world.bus.watch_link(
-                    first, second, self.tech,
-                    callback=self._on_event,
-                    on_cancel=lambda a=first, b=second:
-                        self._on_cancel(a, b)))
+        self._watches, seed_pairs = world.bus.watch_contacts(
+            self.stores, self.tech, self._on_event,
+            on_cancel=self._on_cancel)
         # Seed adjacency *after* the watches exist so cascades observe
         # the full current topology.
         for first, second in seed_pairs:
@@ -600,7 +586,7 @@ class DtnOverlay(DtnPlane):
     def detach(self) -> None:
         """Cancel every watch (measurement finished).  Idempotent."""
         self._detached = True
-        for watch in self._watches:
+        for watch in self._watches.values():
             if watch.active:
                 watch.cancel()
         self._watches.clear()

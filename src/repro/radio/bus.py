@@ -12,9 +12,11 @@ Watches
 -------
 A :class:`Watch` observes one (pair, technology) for either range-ring
 flips (LinkUp/LinkDown) or quality-threshold flips (QualityAbove/
-QualityBelow).  Repeating watches re-arm after every firing (contact
-traces); one-shot watches complete on their first firing (a link's
-scheduled break, a monitor's next-low wake-up).
+QualityBelow).  Repeating watches re-arm *before* their callback runs,
+so a callback reads the pair's next predicted event from
+:attr:`Watch.pending`; one-shot watches complete on their first firing
+(a link's scheduled break, a monitor's next-low wake-up).
+:meth:`ConnectivityBus.watch_contacts` watches every pair of a group.
 
 Invalidation rules (the part polling got for free):
 
@@ -53,6 +55,9 @@ LINK_DOWN = "link-down"
 QUALITY_ABOVE = "quality-above"
 QUALITY_BELOW = "quality-below"
 
+#: Guard against a contact feed installing O(N²) watches at absurd N.
+MAX_CONTACT_PAIRS = 200_000
+
 #: Sentinel for "no precomputed prediction" — ``None`` is a meaningful
 #: prediction result (no crossing before the horizon), so the batch
 #: registration path needs a distinct marker for "ask the solver".
@@ -79,11 +84,14 @@ class ConnectivityEvent:
 
 
 class Watch:
-    """One armed observation; returned by the ``watch_*`` methods."""
+    """One armed observation; returned by the ``watch_*`` methods.
+
+    ``pending`` is the scheduled event; ``None`` while parked, held,
+    waiting out a horizon re-check, or done."""
 
     __slots__ = ("bus", "watch_id", "node_a", "node_b", "tech", "threshold",
                  "callback", "on_cancel", "once", "only_kind", "active",
-                 "last_fired", "_handle")
+                 "last_fired", "pending", "_handle")
 
     def __init__(self, bus: "ConnectivityBus", watch_id: int, node_a: str,
                  node_b: str, tech: "Technology", threshold: int | None,
@@ -102,6 +110,7 @@ class Watch:
         self.only_kind = only_kind
         self.active = True
         self.last_fired: ConnectivityEvent | None = None
+        self.pending: ConnectivityEvent | None = None
         self._handle: "ScheduledCall | None" = None
 
     @property
@@ -225,6 +234,37 @@ class ConnectivityBus:
                 once=False, only_kind=None, precomputed=crossing))
         return watches
 
+    def watch_contacts(self, nodes: typing.Iterable[str],
+                       tech: "Technology",
+                       callback: typing.Callable[[ConnectivityEvent], None],
+                       on_cancel: typing.Callable[[str, str], None]
+                       | None = None,
+                       ) -> tuple[dict[tuple[str, str], Watch],
+                                  list[tuple[str, str]]]:
+        """The contact feed: a :meth:`watch_link` for every node pair.
+
+        ``on_cancel(a, b)`` names the cancelled pair.  Returns the
+        watches keyed by sorted pair and the pairs in range now (a
+        settled in-range pair never produces a LinkUp), in pair order.
+        More than :data:`MAX_CONTACT_PAIRS` pairs raise ``ValueError``.
+        """
+        names = sorted(nodes)
+        pair_count = len(names) * (len(names) - 1) // 2
+        if pair_count > MAX_CONTACT_PAIRS:
+            raise ValueError(f"{pair_count} pairs exceed the contact "
+                             f"feed's cap of {MAX_CONTACT_PAIRS}")
+        watches: dict[tuple[str, str], Watch] = {}
+        in_range: list[tuple[str, str]] = []
+        for i, first in enumerate(names):
+            for second in names[i + 1:]:
+                if self.world.in_range(first, second, tech):
+                    in_range.append((first, second))
+                watches[first, second] = self.watch_link(
+                    first, second, tech, callback,
+                    on_cancel=None if on_cancel is None else (
+                        lambda a=first, b=second: on_cancel(a, b)))
+        return watches, in_range
+
     def _register(self, node_a: str, node_b: str, tech: "Technology",
                   threshold: int | None,
                   callback: typing.Callable[[ConnectivityEvent], None],
@@ -257,9 +297,7 @@ class ConnectivityBus:
         if not watch.active:
             return
         watch.active = False
-        if watch._handle is not None:
-            watch._handle.cancel()
-            watch._handle = None
+        self._disarm(watch)
         self._forget(watch)
         self.stats.cancelled += 1
         if watch.on_cancel is not None:
@@ -304,9 +342,7 @@ class ConnectivityBus:
             if (watch is None or not watch.active
                     or watch.tech.name != tech.name):
                 continue
-            if watch._handle is not None:
-                watch._handle.cancel()
-                watch._handle = None
+            self._disarm(watch)
             self.stats.rescheduled += 1
             self._arm(watch)
 
@@ -331,9 +367,7 @@ class ConnectivityBus:
             watch = self._watches.get(watch_id)
             if watch is None or not watch.active:
                 continue
-            if watch._handle is not None:
-                watch._handle.cancel()
-                watch._handle = None
+            self._disarm(watch)
             self._held.add(watch_id)
             held += 1
             other = (watch.node_b if watch.node_a == node_id
@@ -357,9 +391,9 @@ class ConnectivityBus:
         Called by ``World.resume_node`` *after* the suspension flag is
         cleared.  Watches whose other endpoint is still suspended stay
         held.  Repeating link watches whose pair is back in range fire
-        one synthetic LinkUp before re-arming — a settled in-range pair
+        one synthetic LinkUp after re-arming — a settled in-range pair
         would otherwise never produce the reopening edge (the same
-        reasoning as the DTN overlay's seeded contacts).  Returns the
+        reasoning as the contact feed's in-range pairs).  Returns the
         number re-armed; each re-arm counts ``rescheduled``.
         """
         world = self.world
@@ -374,38 +408,37 @@ class ConnectivityBus:
                     or world.is_suspended(watch.node_b)):
                 continue  # held until the other endpoint returns too
             self._held.discard(watch_id)
+            self.stats.rescheduled += 1
+            resumed += 1
             if (watch.threshold is None and not watch.once
                     and world.in_range(watch.node_a, watch.node_b,
                                        watch.tech)):
-                self._deliver_synthetic(watch, LINK_UP)
-                if not watch.active:
-                    continue
-            self.stats.rescheduled += 1
-            self._arm(watch)
-            resumed += 1
+                self._deliver_synthetic(watch, LINK_UP, rearm=True)
+            else:
+                self._arm(watch)
         return resumed
 
-    def _deliver_synthetic(self, watch: Watch, kind: str) -> None:
+    def _deliver_synthetic(self, watch: Watch, kind: str,
+                           rearm: bool = False) -> None:
         """Fire a watch at the current instant, outside the predictor.
 
         Suspension and resume edges are not geometric crossings — the
         solver cannot predict them — so the bus synthesises the event
         directly.  Counted ``fired`` (preserving the forwarder's
         ``wakeups ≤ bus fired`` invariant); once-watches complete
-        exactly as from a predicted firing.  The caller decides whether
-        to re-arm afterwards.
+        exactly as from a predicted firing.  A suspended pair's watch
+        stays held; ``rearm`` (resume) re-arms it.
         """
-        event = ConnectivityEvent(self.sim.now, kind, watch.node_a,
-                                  watch.node_b, watch.tech.name,
-                                  watch.threshold)
-        watch.last_fired = event
-        self.stats.fired += 1
-        for tap in self._taps:
-            tap(event)
-        if watch.once:
-            watch.active = False
-            self._forget(watch)
-        watch.callback(event)
+        self._fire(watch, ConnectivityEvent(
+            self.sim.now, kind, watch.node_a, watch.node_b,
+            watch.tech.name, watch.threshold), rearm)
+
+    def _disarm(self, watch: Watch) -> None:
+        """Void the watch's scheduled event, if any."""
+        if watch._handle is not None:
+            watch._handle.cancel()
+            watch._handle = None
+        watch.pending = None
 
     def _forget(self, watch: Watch) -> None:
         self._held.discard(watch.watch_id)
@@ -466,6 +499,7 @@ class ConnectivityBus:
                                         self.sim.now)
 
     def _arm(self, watch: Watch, precomputed=_NO_PREDICTION) -> None:
+        watch._handle = watch.pending = None
         if (self.world.is_suspended(watch.node_a)
                 or self.world.is_suspended(watch.node_b)):
             # A suspended endpoint has no physics worth predicting (its
@@ -473,7 +507,6 @@ class ConnectivityBus:
             # re-arms it.  Catches re-registrations and pair
             # invalidations that race with an outage.
             self._held.add(watch.watch_id)
-            watch._handle = None
             return
         t0: float | None = None  # None = predict from the current instant
         for _attempt in range(8):
@@ -487,8 +520,7 @@ class ConnectivityBus:
                 crossing = self._predict(watch, t0)
             if crossing is None:
                 if self._can_park(watch):
-                    watch._handle = None  # parked: no crossing, ever
-                    return
+                    return  # parked: no crossing, ever
                 self._schedule_rearm(watch)
                 return
             kind = self._kind_of(watch, crossing)
@@ -505,6 +537,7 @@ class ConnectivityBus:
             event = ConnectivityEvent(
                 crossing.time, kind, watch.node_a, watch.node_b,
                 watch.tech.name, watch.threshold)
+            watch.pending = event
             watch._handle = self.sim.call_at(
                 max(self.sim.now, crossing.time),
                 lambda w=watch, e=event: self._fire(w, e),
@@ -516,13 +549,13 @@ class ConnectivityBus:
 
     def _rearm(self, watch: Watch) -> None:
         if watch.active:
-            watch._handle = None
             self._arm(watch)
 
-    def _fire(self, watch: Watch, event: ConnectivityEvent) -> None:
+    def _fire(self, watch: Watch, event: ConnectivityEvent,
+              rearm: bool = True) -> None:
         if not watch.active:
             return
-        watch._handle = None
+        watch._handle = watch.pending = None
         watch.last_fired = event
         self.stats.fired += 1
         for tap in self._taps:
@@ -530,11 +563,9 @@ class ConnectivityBus:
         if watch.once:
             watch.active = False
             self._forget(watch)
-            watch.callback(event)
-            return
+        elif rearm:
+            self._arm(watch)  # before the callback, which reads pending
         watch.callback(event)
-        if watch.active:
-            self._arm(watch)
 
     # ------------------------------------------------------------------
     # passive taps (telemetry)

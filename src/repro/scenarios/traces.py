@@ -6,8 +6,9 @@ This module taps that stream into the standard DTN/opportunistic-network
 artifact — a **contact trace** — and replays it as a mobility-free
 workload:
 
-* :func:`record_contact_trace` installs one repeating link watch per
-  node pair and runs the scenario; the result is a time-ordered list of
+* :func:`record_contact_trace` subscribes to the bus's contact feed
+  (one link watch per node pair) and runs the scenario; the result is a
+  time-ordered list of
   rows (one JSON object per line when written), with *zero polling*:
   kernel wakeups occur only at actual contact changes.
 * :func:`replay_trace` schedules a recorded stream on a fresh simulator
@@ -129,46 +130,37 @@ def load_trace(path: str | pathlib.Path) -> list[dict]:
 # recording
 # ----------------------------------------------------------------------
 class ContactTraceRecorder:
-    """Collects the connectivity events of the watches it installs.
+    """Collects the connectivity events of the bus's contact feed.
 
     One repeating link watch per unordered node pair carrying the
-    technology — O(pairs) watches, each dormant between crossings, so
-    the recording itself costs kernel wakeups only when contacts change.
+    technology (:meth:`~repro.radio.bus.ConnectivityBus.watch_contacts`)
+    — each dormant between crossings, so the recording itself costs
+    kernel wakeups only when contacts change.
     """
 
     def __init__(self, scenario: Scenario, tech: Technology | str,
-                 nodes: typing.Sequence[str] | None = None,
-                 max_pairs: int = 2000):
+                 nodes: typing.Sequence[str] | None = None):
         self.scenario = scenario
         self.tech = get_technology(tech) if isinstance(tech, str) else tech
-        self.events: list[ConnectivityEvent] = []
         world = scenario.world
-        names = sorted(nodes if nodes is not None else scenario.nodes)
-        eligible = [name for name in names
+        eligible = [name for name in (nodes if nodes is not None
+                                      else scenario.nodes)
                     if world.has_node(name)
                     and self.tech.name in world.node(name).technologies]
-        pair_count = len(eligible) * (len(eligible) - 1) // 2
-        if pair_count > max_pairs:
-            raise ValueError(
-                f"{pair_count} pairs exceed max_pairs={max_pairs}; "
-                "contact traces are meant for small/medium N")
-        self.pairs: list[tuple[str, str]] = []
-        self._watches = []
+        self.events: list[ConnectivityEvent] = []
+        self._watches, in_range = world.bus.watch_contacts(
+            eligible, self.tech, self.events.append)
+        self.pairs: list[tuple[str, str]] = list(self._watches)
+        # Opening edges for contacts already underway, so the stream
+        # reconstructs full contact intervals.
         now = scenario.sim.now
-        for i, first in enumerate(eligible):
-            for second in eligible[i + 1:]:
-                self.pairs.append((first, second))
-                if world.in_range(first, second, self.tech):
-                    # Opening edge for a contact already underway, so
-                    # the stream reconstructs full contact intervals.
-                    self.events.append(ConnectivityEvent(
-                        now, "link-up", first, second, self.tech.name))
-                self._watches.append(world.bus.watch_link(
-                    first, second, self.tech, callback=self.events.append))
+        self.events.extend(
+            ConnectivityEvent(now, "link-up", first, second, self.tech.name)
+            for first, second in in_range)
 
     def detach(self) -> None:
         """Cancel all recorder watches (recording finished)."""
-        for watch in self._watches:
+        for watch in self._watches.values():
             if watch.active:
                 watch.cancel()
         self._watches.clear()
@@ -189,7 +181,7 @@ def record_contact_trace(scenario: Scenario, tech: Technology | str,
     (absolute sim-seconds), detaches, and returns the rows — written to
     ``path`` as JSONL when given.  The scenario's daemons need not be
     started: contacts are pure geometry.  Setup is O(pairs) watch
-    installations (guarded by the recorder's ``max_pairs``); the run
+    installations (capped by the bus's contact feed); the run
     itself wakes the kernel only at actual contact changes, so a
     static world records in O(pairs) total.  Nodes removed mid-run
     simply stop producing events (their watches are cancelled by the

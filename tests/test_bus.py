@@ -72,6 +72,71 @@ def test_settled_pair_watch_parks_without_events():
     assert world.stats.bus.scheduled == 0
 
 
+def test_repeating_watch_callback_sees_its_next_event_pending():
+    """Repeating watches re-arm before the callback runs."""
+    sim, world = make_world()
+    world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
+    from repro.mobility import PathMovement
+    world.add_node("b", PathMovement([
+        (0.0, (5.0, 0.0)), (10.0, (15.0, 0.0)), (20.0, (5.0, 0.0)),
+        (30.0, (15.0, 0.0))]), [BLUETOOTH])
+    seen = []
+
+    def record(event):
+        pending = watch.pending
+        seen.append((event.kind, round(event.time, 6), watch.armed,
+                     pending and (pending.kind, round(pending.time, 6))))
+
+    watch = world.bus.watch_link("a", "b", BLUETOOTH, callback=record)
+    assert (watch.pending.kind, round(watch.pending.time, 6)) == (
+        LINK_DOWN, 5.0)
+    sim.run(until=40.0)
+    # After the last LinkDown b is still walking out (settles at 30 s),
+    # so the watch waits out a horizon re-check with nothing pending.
+    assert seen == [(LINK_DOWN, 5.0, True, (LINK_UP, 15.0)),
+                    (LINK_UP, 15.0, True, (LINK_DOWN, 25.0)),
+                    (LINK_DOWN, 25.0, True, None)]
+
+
+def test_resumed_in_range_pair_link_up_sees_watch_armed():
+    sim, world = make_world()
+    world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
+    world.add_node("b", LinearMovement((2.0, 0.0), (1.0, 0.0)), [BLUETOOTH])
+    seen = []
+    watch = world.bus.watch_link(
+        "a", "b", BLUETOOTH,
+        callback=lambda e: seen.append((e.kind, e.time, watch.armed,
+                                        watch.pending)))
+    sim.run(until=1.0)
+    world.suspend_node("b")
+    sim.run(until=3.0)
+    world.resume_node("b")
+    (down, up) = seen
+    assert down[:2] == (LINK_DOWN, 1.0)
+    kind, time, armed, pending = up
+    assert (kind, time, armed) == (LINK_UP, 3.0, True)
+    assert pending.kind == LINK_DOWN
+    assert pending.time == pytest.approx(8.0)   # b leaves the 10 m ring
+
+
+def test_parked_suspended_and_held_watches_have_nothing_pending():
+    sim, world = make_world()
+    world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
+    world.add_node("b", LinearMovement((2.0, 0.0), (1.0, 0.0)), [BLUETOOTH])
+    world.add_node("c", StaticPosition(4.0, 0), [BLUETOOTH])
+    parked = world.bus.watch_link("a", "c", BLUETOOTH, callback=id)
+    moving = world.bus.watch_link("a", "b", BLUETOOTH, callback=id)
+    assert parked.pending is None and not parked.armed
+    assert moving.pending.kind == LINK_DOWN
+    world.suspend_node("a")
+    world.suspend_node("b")
+    assert moving.pending is None and not moving.armed      # suspended
+    world.resume_node("a")
+    assert moving.pending is None and not moving.armed      # held for b
+    world.resume_node("b")
+    assert moving.pending.kind == LINK_DOWN and moving.armed
+
+
 def test_quality_below_fires_immediately_when_already_low():
     sim, world = make_world()
     world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])

@@ -10,6 +10,8 @@ forwarder, PRoPHET's predictability algebra, and determinism of the
 ``dtn_bandwidth`` workload through the experiment runner.
 """
 
+import math
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,13 @@ from repro.experiments import (
 )
 from repro.mobility.linear import LinearMovement, PathMovement
 from repro.radio.technologies import TECHNOLOGIES, get_technology
-from repro.scenarios import Scenario, island_hopping_ferry, rural_bus_dtn
+from repro.scenarios import (
+    Scenario,
+    crowded_festival,
+    island_hopping_ferry,
+    lossy_festival,
+    rural_bus_dtn,
+)
 
 
 # ----------------------------------------------------------------------
@@ -427,3 +435,93 @@ def test_bandwidth_workload_emits_byte_metrics():
         assert metrics[f"{router}_bytes_offered"] > 0
         assert metrics[f"{router}_transfers_truncated"] >= 0
     assert metrics["prophet_control_bytes"] > 0
+
+
+# ----------------------------------------------------------------------
+# the window comes from the armed watch: oracle vs a second solve
+# ----------------------------------------------------------------------
+def _solved_window(plane, a, b, now):
+    """Reference ``_window``: re-solve the pair's next crossing."""
+    solver = plane.world.bus.solver
+    crossing = solver.next_link_crossing(a, b, plane.tech, t0=now)
+    if crossing is not None and not crossing.inside:
+        closes_at = crossing.time
+    elif crossing is None and solver.pair_settled(a, b, now):
+        return (math.inf, None)
+    else:
+        closes_at = now + solver.horizon_s
+    return (closes_at, plane.tech.contact_capacity_bytes(
+        closes_at - now, plane.data_rate_Bps))
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """Every session window priced, with the reference beside it and
+    whether it opened inside ``ConnectivityBus.resume_node``."""
+    from repro.radio.bus import ConnectivityBus
+    seen = []
+    resuming = []
+    window = BandwidthDtnOverlay._window
+    resume_node = ConnectivityBus.resume_node
+
+    def checked(plane, a, b, now):
+        got = window(plane, a, b, now)
+        seen.append((got, _solved_window(plane, a, b, now), bool(resuming)))
+        return got
+
+    def tracked_resume(bus, node_id):
+        resuming.append(node_id)
+        try:
+            return resume_node(bus, node_id)
+        finally:
+            resuming.pop()
+
+    monkeypatch.setattr(BandwidthDtnOverlay, "_window", checked)
+    monkeypatch.setattr(ConnectivityBus, "resume_node", tracked_resume)
+    return seen
+
+
+@pytest.mark.parametrize("build, crashes", [
+    (lambda: rural_bus_dtn(count=8, seed=5), False),
+    (lambda: lossy_festival(count=14, seed=3), False),
+    (lambda: crowded_festival(count=14, seed=2, crash_rate=0.4,
+                              crash_downtime_s=30.0, fault_window_s=400.0),
+     True),
+], ids=["bandwidth", "lossy-phy", "crash-reboot"])
+def test_session_window_matches_a_second_solve(windows, build, crashes):
+    scenario = build()
+    plane = BandwidthDtnOverlay(scenario.world, make_router("epidemic"),
+                                meter=scenario.meter, data_rate_Bps=24_000.0)
+    schedule_traffic(plane, generate_traffic(
+        scenario.sim.rng("dtn/traffic"), plane.live_nodes(), "uniform", 10,
+        window=(5.0, 200.0), size_bytes=60_000, ttl_s=300.0))
+    scenario.run(until=480.0)
+    plane.detach()
+    assert len(windows) > 40
+    for got, reference, _ in windows:
+        assert got == reference
+    # The crash-reboot run reopens contacts through resume_node's
+    # synthetic LinkUp, which re-arms the watch before the callback.
+    assert any(resumed for _, _, resumed in windows) == crashes
+
+
+@pytest.mark.parametrize("mobility, expected", [
+    (None, (math.inf, None)),
+    # 1 mm/s from 5 m: the 10 m range edge lies far past the horizon.
+    (LinearMovement((5.0, 0.0), (0.001, 0.0)),
+     (600.0, get_technology("bluetooth").contact_capacity_bytes(600.0))),
+], ids=["settled", "beyond-horizon"])
+def test_two_node_window_from_parked_or_rechecking_watch(
+        windows, mobility, expected):
+    scenario = Scenario(seed=1)
+    scenario.add_node("a", position=(0.0, 0.0), mobility_class="static")
+    if mobility is None:
+        scenario.add_node("b", position=(5.0, 0.0), mobility_class="static")
+    else:
+        scenario.add_node("b", mobility=mobility)
+    plane = BandwidthDtnOverlay(scenario.world, make_router("epidemic"))
+    session = plane._sessions["a", "b"]
+    assert (session.closes_at, session.budget_bytes) == expected
+    assert [(got, reference) for got, reference, _ in windows] == [
+        (expected, expected)]
+    assert plane._watches["a", "b"].pending is None

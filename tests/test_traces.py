@@ -2,7 +2,11 @@
 
 import dataclasses
 
+import pytest
+
+from repro.dtn import BandwidthDtnOverlay, DtnOverlay, make_router
 from repro.experiments import ExperimentSpec, aggregate, get_spec, run_spec
+from repro.radio import bus as bus_module
 from repro.radio.technologies import WLAN
 from repro.scenarios import (
     ContactTraceRecorder,
@@ -51,14 +55,22 @@ def test_recording_is_deterministic_across_runs():
     assert trace_digest(first) == trace_digest(second)
 
 
-def test_recorder_requires_pair_budget():
-    scenario = sparse_highway(count=10, seed=1)
-    try:
-        ContactTraceRecorder(scenario, WLAN, max_pairs=3)
-    except ValueError as error:
-        assert "max_pairs" in str(error)
-    else:  # pragma: no cover - guard
-        raise AssertionError("expected the pair budget to trip")
+def test_contact_feed_pair_cap_guards_every_subscriber(monkeypatch):
+    """One bus cap bounds the recorder and both event-driven DTN planes;
+    a refused subscription arms no watch."""
+    monkeypatch.setattr(bus_module, "MAX_CONTACT_PAIRS", 3)
+    subscribers = (
+        lambda scenario: ContactTraceRecorder(scenario, WLAN),
+        lambda scenario: DtnOverlay(scenario.world, make_router("epidemic"),
+                                    tech=WLAN),
+        lambda scenario: BandwidthDtnOverlay(
+            scenario.world, make_router("epidemic"), tech=WLAN),
+    )
+    for subscribe in subscribers:
+        scenario = sparse_highway(count=10, seed=1)
+        with pytest.raises(ValueError, match="45 pairs exceed"):
+            subscribe(scenario)
+        assert scenario.world.bus.active_watches() == 0
 
 
 def test_recording_costs_no_polling_wakeups():
