@@ -85,6 +85,9 @@ class FaultPlane:
         self._mute: set[str] = set()
         self._byzantine: set[str] = set()
         self._jammers: list[tuple[MobilityModel, float]] = []
+        # ``jammed`` answers memoized for the instant ``_jammed_at``.
+        self._jammed_at: float | None = None
+        self._jammed: dict[str, bool] = {}
         self._listeners: list = []
         world.faults = self
 
@@ -132,6 +135,7 @@ class FaultPlane:
         if radius_m <= 0:
             raise ValueError(f"jammer radius must be positive: {radius_m}")
         self._jammers.append((mobility, radius_m))
+        self._jammed.clear()
 
     def _apply(self, event: FaultEvent) -> None:
         kind = event.kind
@@ -207,6 +211,9 @@ class FaultPlane:
         self._deaf.discard(node_id)
         self._mute.discard(node_id)
         self._byzantine.discard(node_id)
+        # A node re-added under this id at this instant may stand
+        # elsewhere: its memoized jammer answer must not survive.
+        self._jammed.pop(node_id, None)
 
     # ------------------------------------------------------------------
     # query surface
@@ -218,15 +225,28 @@ class FaultPlane:
     def jammed(self, node_id: str) -> bool:
         """True if the node sits inside any jammer's disk right now.
 
-        O(jammers); pure function of virtual time (mobility models are
-        closed-form), so repeated queries at one instant agree.
+        A pure function of virtual time (mobility models are closed
+        form), so the answer is computed once per node per instant —
+        O(jammers) — and memoized until ``sim.now`` moves; repeated
+        gate checks within one instant are O(1).  ``add_jammer`` clears
+        the memo and removing a node drops its entry, so neither a new
+        disk nor a node re-added under the same id reads a stale answer.
         """
         if not self._jammers or not self.world.has_node(node_id):
             return False
         now = self.sim.now
+        if now != self._jammed_at:
+            self._jammed_at = now
+            self._jammed.clear()
+        else:
+            hit = self._jammed.get(node_id)
+            if hit is not None:
+                return hit
         position = self.world.position(node_id)
-        return any(distance(position, mobility.position(now)) <= radius
-                   for mobility, radius in self._jammers)
+        hit = any(distance(position, mobility.position(now)) <= radius
+                  for mobility, radius in self._jammers)
+        self._jammed[node_id] = hit
+        return hit
 
     def can_transmit(self, sender: str, receiver: str) -> bool:
         """May a bundle copy move sender → receiver at this instant?

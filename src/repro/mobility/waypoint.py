@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import bisect
 
-from repro.mobility.base import MobilityModel, Point, distance
+from repro.mobility.base import MobilityModel, Point, Segment, distance
 from repro.sim.rng import RandomStream
 
 
@@ -14,6 +14,15 @@ class RandomWaypoint(MobilityModel):
     Legs are generated lazily but cached, so out-of-order time queries are
     consistent.  All randomness comes from the supplied stream — two models
     with equal streams trace identical paths.
+
+    :meth:`linear_segments` answers from a second cache, the *pieces*:
+    each leg's moving stretch and its pause, built once with the anchor
+    positions a segment-by-segment walk would compute.  A window then
+    costs one bisect, one slice and one ``position`` call instead of a
+    ``position`` call per segment — the contact solver, the bus watches
+    and the batch engine ask for a 600 s window per pair solve.  Like
+    the leg cache it is never pruned: queries may arrive out of time
+    order, and a pruned piece would have to be rebuilt bitwise.
 
     Parameters
     ----------
@@ -54,6 +63,12 @@ class RandomWaypoint(MobilityModel):
         self._leg_starts: list[float] = []
         self._next_leg_start = 0.0
         self._current_point: Point = start
+        # The pieces of every leg in ``_legs[:_pieced_legs]`` (see the
+        # class docstring), in time order; ``_piece_starts`` mirrors
+        # their start times for bisecting.
+        self._pieces: list[Segment] = []
+        self._piece_starts: list[float] = []
+        self._pieced_legs = 0
 
     def _extend_until(self, t: float) -> None:
         while self._next_leg_start <= t:
@@ -70,40 +85,65 @@ class RandomWaypoint(MobilityModel):
             self._next_leg_start = leg_end + pause
             self._current_point = target
 
+    def _extend_pieces(self) -> None:
+        """Turn every generated leg not yet in ``_pieces`` into pieces.
+
+        Leg *i* contributes its moving piece (unless it has zero length)
+        and its pause piece (unless the next departure is immediate).
+        Each anchor is what ``position`` answers at the piece start —
+        ``position(leg_end)`` is not bitwise ``target``, so no anchor is
+        re-derived from the leg tuple.
+        """
+        legs = self._legs
+        still = (0.0, 0.0)
+        for i in range(self._pieced_legs, len(legs)):
+            leg_start, leg_end, origin, target = legs[i]
+            if leg_end != leg_start:
+                travel = leg_end - leg_start
+                velocity = ((target[0] - origin[0]) / travel,
+                            (target[1] - origin[1]) / travel)
+                self._pieces.append((leg_start, leg_end,
+                                     self.position(leg_start), velocity))
+                self._piece_starts.append(leg_start)
+            next_start = (legs[i + 1][0] if i + 1 < len(legs)
+                          else self._next_leg_start)
+            if next_start > leg_end:
+                self._pieces.append((leg_end, next_start,
+                                     self.position(leg_end), still))
+                self._piece_starts.append(leg_end)
+        self._pieced_legs = len(legs)
+
     def linear_segments(self, t0: float, t1: float):
         """Legs and pauses intersecting ``[t0, t1]``; extends the cache.
 
         Leg generation draws only from this model's own stream, so
         predicting ahead never perturbs any other component — the legs a
         later ``position`` query would generate are identical.
+
+        Every segment after the window's first is a whole cached piece
+        (the last clipped at ``t1``), so a window costs one bisect, one
+        slice and one ``position`` call — the first segment re-anchored
+        at ``t0``.  The piece cache grows with the leg cache and is never
+        pruned, since a later query may reach back to any earlier window.
+        Returns a fresh list; callers may mutate it.
         """
         if t0 < 0:
             t0 = 0.0
+        if t1 <= t0:
+            return []
         self._extend_until(t1)
-        still = (0.0, 0.0)
-        segments: list = []
-        cursor = t0
-        index = max(0, bisect.bisect_right(self._leg_starts, t0) - 1)
-        for i in range(index, len(self._legs)):
-            if cursor >= t1:
-                break
-            leg_start, leg_end, origin, target = self._legs[i]
-            if leg_start > cursor:  # pause before this leg departs
-                end = min(leg_start, t1)
-                segments.append((cursor, end, self.position(cursor), still))
-                cursor = end
-                if cursor >= t1:
-                    break
-            if leg_end <= cursor or leg_end == leg_start:
-                continue
-            travel = leg_end - leg_start
-            velocity = ((target[0] - origin[0]) / travel,
-                        (target[1] - origin[1]) / travel)
-            end = min(leg_end, t1)
-            segments.append((cursor, end, self.position(cursor), velocity))
-            cursor = end
-        if cursor < t1:  # pausing past the last generated leg's arrival
-            segments.append((cursor, t1, self.position(cursor), still))
+        self._extend_pieces()
+        pieces = self._pieces
+        starts = self._piece_starts
+        first = bisect.bisect_right(starts, t0) - 1
+        last = bisect.bisect_left(starts, t1, first + 1) - 1
+        _, end, _, velocity = pieces[first]
+        if last == first:
+            return [(t0, t1, self.position(t0), velocity)]
+        segments = [(t0, end, self.position(t0), velocity)]
+        segments += pieces[first + 1:last]
+        start, _, anchor, velocity = pieces[last]
+        segments.append((start, t1, anchor, velocity))
         return segments
 
     def active_piece(self, t: float, horizon_s: float = 600.0):

@@ -23,7 +23,7 @@ from repro.faults import (
     FaultPlane,
     install_scenario_faults,
 )
-from repro.mobility import LinearMovement, StaticPosition
+from repro.mobility import LinearMovement, StaticPosition, distance
 from repro.radio import BLUETOOTH, World
 from repro.radio.bus import LINK_DOWN, LINK_UP
 from repro.scenarios import Scenario, commuter_corridor, hostile_corridor
@@ -171,6 +171,85 @@ def test_jammer_disk_suppresses_and_counts():
     assert plane.counters.jammed_deliveries == 2
     with pytest.raises(ValueError, match="radius"):
         plane.add_jammer(StaticPosition(0, 0), 0.0)
+
+
+def direct_jammed(world, jammers, node_id):
+    """The jammer gate straight from geometry, no memo."""
+    position = world.position(node_id)
+    now = world.sim.now
+    return any(distance(position, mobility.position(now)) <= radius
+               for mobility, radius in jammers)
+
+
+def test_jammed_memo_agrees_with_geometry_at_every_instant():
+    sim, world = make_world()
+    for i in range(6):
+        world.add_node(f"s{i}", StaticPosition(8.0 * i, 0.0), [BLUETOOTH])
+    world.add_node("walker", LinearMovement((40.0, 3.0), (-0.7, 0.0)),
+                   [BLUETOOTH])
+    plane = FaultPlane(world)
+    jammers = [(LinearMovement((-10.0, 0.0), (1.3, 0.0)), 6.0),
+               (StaticPosition(30.0, 30.0), 4.0)]
+    for mobility, radius in jammers:
+        plane.add_jammer(mobility, radius)
+    answers = []
+
+    def check():
+        for _ in range(2):  # the second pass reads the memo
+            for node_id in world.node_ids():
+                expected = direct_jammed(world, jammers, node_id)
+                assert plane.jammed(node_id) is expected
+                answers.append(expected)
+
+    for k in range(120):
+        sim.call_at(0.5 * k, check)
+    sim.run(until=60.0)
+    assert len(answers) == 120 * 2 * 7
+    assert any(answers) and not all(answers)
+
+
+def test_jammed_memo_forgets_a_node_re_added_at_the_same_instant():
+    sim, world = make_world()
+    world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
+    plane = FaultPlane(world)
+    plane.add_jammer(StaticPosition(0, 0), 5.0)
+    assert plane.jammed("a")
+    world.remove_node("a")
+    assert not plane.jammed("a")
+    world.add_node("a", StaticPosition(50, 0), [BLUETOOTH])
+    assert not plane.jammed("a")
+    world.remove_node("a")
+    world.add_node("a", StaticPosition(1, 1), [BLUETOOTH])
+    assert plane.jammed("a")
+
+
+def test_add_jammer_mid_instant_clears_the_memo():
+    sim, world = make_world()
+    world.add_node("c", StaticPosition(50, 0), [BLUETOOTH])
+    plane = FaultPlane(world)
+    plane.add_jammer(StaticPosition(0, 0), 5.0)
+    assert not plane.jammed("c")
+    plane.add_jammer(StaticPosition(52, 0), 5.0)
+    assert plane.jammed("c")
+
+
+def test_jammed_memo_expires_when_the_clock_moves():
+    sim, world = make_world()
+    world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
+    plane = FaultPlane(world)
+    # The disk sits on "a" at t=0 and has moved 20 m off by t=2.
+    plane.add_jammer(LinearMovement((0.0, 0.0), (10.0, 0.0)), 5.0)
+    seen = []
+
+    def query():
+        seen.append((sim.now, plane.jammed("a"), plane.jammed("a")))
+
+    sim.call_at(0.0, query)
+    sim.call_at(2.0, query)
+    sim.call_at(2.0, query)
+    sim.run(until=3.0)
+    assert seen == [(0.0, True, True), (2.0, False, False),
+                    (2.0, False, False)]
 
 
 # ----------------------------------------------------------------------
